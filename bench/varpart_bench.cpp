@@ -1,25 +1,23 @@
 /// \file varpart_bench.cpp
 /// \brief Bound-set search benchmark: times the greedy variable-partition
-/// engine (decomp::BoundSetSearch) and whole HYDE flows under the engine's
-/// configurations, and emits JSON rows for BENCH_varpart.json.
+/// search and whole HYDE flows, and emits JSON rows for BENCH_varpart.json.
 ///
-/// The "plain" configuration (serial, no chart memo, no bounded-count
-/// pruning) is the seed code path: it evaluates every candidate with a full
-/// column count, exactly like the historical select_bound_set.  The other
-/// configurations layer on the memo, the monotone lower-bound pruning and
-/// snapshot-parallel candidate evaluation.  Every configuration of the same
-/// workload must produce the identical checksum — the harness verifies this
-/// itself and fails (exit 1) on any mismatch, so a committed BENCH_varpart.json
-/// is also a functional-equivalence proof for the machine that produced it.
+/// The greedy workload runs twice. `oneshot` calls select_bound_set, which
+/// builds a fresh engine per select, so every candidate chart is counted
+/// from scratch — the historical code path. `engine` keeps one memoized
+/// decomp::BoundSetSearch across all selects, as a flow does. The gap
+/// between the two rows is what the chart memo buys. Both rows must produce
+/// the identical checksum; the harness fails (exit 1) on any mismatch. Flow
+/// rows always run the flow's own engine.
 ///
 /// Protocol:
 ///
-///     varpart_bench --label=seed --out=BENCH_varpart.json        (full run)
+///     varpart_bench --label=engine --out=BENCH_varpart.json      (full run)
 ///     varpart_bench --quick                                      (CI smoke)
 ///
 /// Checksums are FNV-1a mixes of the selected bound sets, compatible-class
-/// counts and the mapped networks' BLIF text — function-level invariants that
-/// the engine's knobs must never change.
+/// counts and the mapped networks' BLIF text. The JSON records the machine's
+/// hardware thread count as `cpus`.
 
 #include <chrono>
 #include <cstdint>
@@ -27,6 +25,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bdd/bdd.hpp"
@@ -84,36 +83,16 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// An engine configuration under test.  "plain" reproduces the seed path.
-struct EngineConfig {
-  const char* tag;
-  int threads;
-  bool memo;
-  bool pruning;
-};
-
-const EngineConfig kConfigs[] = {
-    {"plain", 1, false, false},
-    {"pruned", 1, false, true},
-    {"memo", 1, true, true},
-    {"parallel2", 2, true, true},
-    {"parallel4", 4, true, true},
-};
-
-hyde::decomp::SearchOptions search_options(const EngineConfig& config) {
-  hyde::decomp::SearchOptions options;
-  options.threads = config.threads;
-  options.use_memo = config.memo;
-  options.use_pruning = config.pruning;
-  return options;
-}
+/// How the greedy workload reaches the search: a fresh engine per select, or
+/// one memoized engine across all of them.
+enum class SearchMode { kOneShot, kEngine };
 
 /// Greedy bound-set selection over random functions, replaying the flow's
 /// re-search pattern: every function is partitioned at bound sizes k down
 /// to 2, which is exactly the sequence the decomposer retries when a trial
 /// fails — the memoized engine answers the shared greedy prefix from the
 /// chart memo instead of recounting columns.
-WorkloadResult bench_greedy_research(const EngineConfig& config, int num_vars,
+WorkloadResult bench_greedy_research(SearchMode mode, int num_vars,
                                      int functions, int rounds) {
   Manager mgr(num_vars);
   std::uint64_t state = 0x5EA2C4 + static_cast<std::uint64_t>(num_vars);
@@ -124,11 +103,11 @@ WorkloadResult bench_greedy_research(const EngineConfig& config, int num_vars,
   std::vector<int> support;
   for (int v = 0; v < num_vars; ++v) support.push_back(v);
 
-  hyde::decomp::BoundSetSearch search(mgr, search_options(config));
+  hyde::decomp::BoundSetSearch search(mgr);
 
   WorkloadResult result;
-  result.name = "greedy_research_x" + std::to_string(num_vars) + "_" +
-                config.tag;
+  result.name = "greedy_research_x" + std::to_string(num_vars) +
+                (mode == SearchMode::kOneShot ? "_oneshot" : "_engine");
   const auto start = std::chrono::steady_clock::now();
   std::uint64_t checksum = 0xCBF29CE484222325ull;
   for (int r = 0; r < rounds; ++r) {
@@ -138,7 +117,10 @@ WorkloadResult bench_greedy_research(const EngineConfig& config, int num_vars,
         hyde::decomp::VarPartitionOptions options;
         options.bound_size = bound_size;
         options.require_nontrivial = false;
-        const auto vp = search.select(isf, support, options);
+        const auto vp =
+            mode == SearchMode::kOneShot
+                ? hyde::decomp::select_bound_set(mgr, isf, support, options)
+                : search.select(isf, support, options);
         checksum = fnv1a(checksum, vp.success ? 1u : 0u);
         for (int v : vp.bound) {
           checksum = fnv1a(checksum, static_cast<std::uint64_t>(v));
@@ -153,18 +135,15 @@ WorkloadResult bench_greedy_research(const EngineConfig& config, int num_vars,
 }
 
 /// Whole HYDE flow (decomposition + encoding, no mapping) over a registry
-/// circuit with the engine knobs wired through FlowOptions.
-WorkloadResult bench_flow(const EngineConfig& config, const std::string& circuit) {
+/// circuit.
+WorkloadResult bench_flow(const std::string& circuit) {
   const hyde::net::Network input = hyde::mcnc::make_circuit(circuit);
 
   WorkloadResult result;
-  result.name = "flow_" + circuit + "_" + config.tag;
+  result.name = "flow_" + circuit + "_engine";
   const auto start = std::chrono::steady_clock::now();
-  hyde::core::FlowOptions options = hyde::core::hyde_options(5);
-  options.search_threads = config.threads;
-  options.search_memo = config.memo;
-  options.search_pruning = config.pruning;
-  hyde::core::FlowResult flow = hyde::core::run_flow(input, options);
+  hyde::core::FlowResult flow =
+      hyde::core::run_flow(input, hyde::core::hyde_options(5));
   result.seconds = seconds_since(start);
 
   std::ostringstream blif;
@@ -185,8 +164,8 @@ void append_json(std::string& out, const WorkloadResult& r, bool last) {
   out += buf;
 }
 
-/// Workloads with the same base name must agree on the checksum across every
-/// engine configuration; returns false (and reports) on any divergence.
+/// Workloads with the same base name must agree on the checksum across
+/// search modes; returns false (and reports) on any divergence.
 bool checksums_agree(const std::vector<WorkloadResult>& results) {
   std::map<std::string, std::uint64_t> expected;
   bool ok = true;
@@ -236,13 +215,11 @@ int main(int argc, char** argv) {
                                        "alu2", "vg2"};
 
   std::vector<WorkloadResult> results;
-  for (const EngineConfig& config : kConfigs) {
-    results.push_back(bench_greedy_research(config, num_vars, functions, rounds));
+  for (const SearchMode mode : {SearchMode::kOneShot, SearchMode::kEngine}) {
+    results.push_back(bench_greedy_research(mode, num_vars, functions, rounds));
   }
   for (const std::string& circuit : circuits) {
-    for (const EngineConfig& config : kConfigs) {
-      results.push_back(bench_flow(config, circuit));
-    }
+    results.push_back(bench_flow(circuit));
   }
 
   if (!checksums_agree(results)) return 1;
@@ -251,12 +228,9 @@ int main(int argc, char** argv) {
   json += "{\n";
   json += "  \"schema\": \"hyde.bench_varpart.v1\",\n";
   json += "  \"engine\": \"" + label + "\",\n";
-  json += "  \"configs\": [";
-  for (std::size_t i = 0; i < std::size(kConfigs); ++i) {
-    json += std::string("\"") + kConfigs[i].tag + "\"";
-    if (i + 1 < std::size(kConfigs)) json += ", ";
-  }
-  json += "],\n";
+  json += "  \"cpus\": " +
+          std::to_string(std::thread::hardware_concurrency()) + ",\n";
+  json += "  \"configs\": [\"oneshot\", \"engine\"],\n";
   json += "  \"workloads\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     append_json(json, results[i], i + 1 == results.size());

@@ -12,24 +12,19 @@
 ///                 classes / encoding / mapping) plus search-engine counters;
 ///                 the same numbers always land in the volatile RunReport
 ///                 JSON/CSV sections regardless of this flag
-///   --search-threads <n>  parallelize candidate bound-set evaluation inside
-///                 each flow (decomp/search.hpp; results are bit-identical
-///                 at any thread count)
 ///   --reorder <m>  dynamic BDD variable reordering: off (default), sift
 ///                 (soft-budget ladder) or auto (adds the growth trigger);
 ///                 see docs/REORDER.md. Result-affecting: runs with
 ///                 different --reorder settings are different experiments.
 ///   --reorder-max-growth <x>  auto-reorder growth factor, > 1.0 (default 2.0)
-///   --manager-pool  recycle warmed BDD managers across flow invocations
-///                 (bdd/pool.hpp); result-neutral allocation reuse
 ///   --read-latches  accept sequential BLIF by extracting the combinational
 ///                 core (latch outputs become PIs, latch inputs become POs)
 ///
 /// Flow-shaping knobs (single-circuit and --in windowed runs; they override
 /// the -s system preset, so e.g. `-s hyde --encoding random` is HYDE with
 /// Step-1 random encoding only). Batch mode runs the preset systems as
-/// published and rejects these, except --cache-max-support and
-/// --no-class-signatures which map onto batch options:
+/// published and rejects these, except --cache-max-support which maps onto
+/// the batch options:
 ///
 ///   --encoding random|classes|cubes   class-encoding policy
 ///   --dc-policy columns|clique        DC assignment (distinct columns vs
@@ -41,10 +36,6 @@
 ///   --collapse-support <n>  PI-count threshold for collapse mode
 ///   --passes <n>          flow re-applications (default 1)
 ///   --cache-max-support <n>  NPN-cache support ceiling (default 7)
-///   --no-search-memo      disable chart-column memoization
-///   --no-search-pruning   disable incumbent-based chart pruning
-///   --no-class-signatures force per-pair BDD compatibility tests
-///   --signature-rows <n>  row-space bound for the signature fast path
 ///   --node-limit <n>      live-BDD-node hard cap (0 = unlimited)
 ///   --tear-penalty <x>    encoder tearing-penalty weight (default 1.0)
 ///
@@ -128,27 +119,23 @@ int usage() {
   std::fprintf(stderr,
                "usage: hyde_cli [-k n] [-s hyde|imodec|fgsyn|rk|rk-resub|all] "
                "[-o out.blif] [--pla-out out.pla] [--no-verify] [--profile] "
-               "[--search-threads n] [--encoder-threads n] "
                "[--reorder off|sift|auto] [--reorder-max-growth x] "
-               "[--manager-pool] [flow knobs] "
+               "[flow knobs] "
                "<circuit.blif|circuit.pla|@benchmark>\n"
                "  flow knobs: [--encoding random|classes|cubes] "
                "[--dc-policy columns|clique] [--no-hyper] "
                "[--group-choice auto|always|never] [--ppi-hard-mu] "
                "[--max-group-size n] [--collapse-support n] [--passes n] "
-               "[--cache-max-support n] [--no-search-memo] "
-               "[--no-search-pruning] [--no-class-signatures] "
-               "[--signature-rows n] [--node-limit n] [--tear-penalty x]\n"
+               "[--cache-max-support n] [--node-limit n] [--tear-penalty x]\n"
                "       hyde_cli --batch [--circuits a,b,c] [-k n] "
                "[-s system|all] [--workers n] "
                "[--seed n] [--json file] [--csv file] [--deterministic-json] "
-               "[--no-cache] [--no-verify] [--profile] [--search-threads n] "
-               "[--encoder-threads n] [--reorder off|sift|auto] "
-               "[--reorder-max-growth x] [--manager-pool]\n"
+               "[--no-cache] [--no-verify] [--profile] "
+               "[--reorder off|sift|auto] [--reorder-max-growth x]\n"
                "       hyde_cli --in circuit.blif [-k n] [-s system] "
                "[-o out.blif] [--window-inputs n] [--window-nodes n] "
                "[--window-threads n] [--reorder off|sift|auto] "
-               "[--reorder-max-growth x] [--manager-pool] [--read-latches] "
+               "[--reorder-max-growth x] [--read-latches] "
                "[--no-verify] [--profile]\n"
                "  persistent cache (all modes): [--cache-dir dir] "
                "[--cache-readonly] [--cache-max-bytes n]\n");
@@ -270,10 +257,6 @@ struct FlowOverrides {
   int max_collapse_support = 0;  ///< 0 = unset
   int passes = 0;                ///< 0 = unset
   int cache_max_support = -1;    ///< -1 = unset
-  bool no_search_memo = false;
-  bool no_search_pruning = false;
-  bool no_class_signatures = false;
-  int class_signature_rows = 0;  ///< 0 = unset
   bool has_node_limit = false;
   std::size_t bdd_node_limit = 0;
   bool has_tear_penalty = false;
@@ -291,12 +274,6 @@ struct FlowOverrides {
     }
     if (passes > 0) o->passes = passes;
     if (cache_max_support >= 0) o->cache_max_support = cache_max_support;
-    if (no_search_memo) o->search_memo = false;
-    if (no_search_pruning) o->search_pruning = false;
-    if (no_class_signatures) o->class_signatures = false;
-    if (class_signature_rows > 0) {
-      o->class_signature_rows = class_signature_rows;
-    }
     if (has_node_limit) o->bdd_node_limit = bdd_node_limit;
     if (has_tear_penalty) o->tear_penalty_scale = tear_penalty_scale;
   }
@@ -304,12 +281,11 @@ struct FlowOverrides {
 
 void print_profile(const hyde::core::FlowStats& stats, const char* indent) {
   std::printf(
-      "%svarpart %.3fs (selects %llu, evaluated %llu, pruned %llu, "
-      "memo hits %llu) | classes %.3fs | encoding %.3fs | mapping %.3fs\n",
+      "%svarpart %.3fs (selects %llu, evaluated %llu, memo hits %llu) | "
+      "classes %.3fs | encoding %.3fs | mapping %.3fs\n",
       indent, stats.varpart_seconds,
       static_cast<unsigned long long>(stats.search_selects),
       static_cast<unsigned long long>(stats.search_candidates_evaluated),
-      static_cast<unsigned long long>(stats.search_candidates_pruned),
       static_cast<unsigned long long>(stats.search_memo_hits),
       stats.classes_seconds, stats.encoding_seconds, stats.mapping_seconds);
 }
@@ -343,10 +319,9 @@ void print_store_summary(std::uint64_t disk_hits, std::uint64_t disk_misses,
 int run_batch_mode(const std::string& system_name, int k, int workers,
                    std::uint64_t seed, bool verify, bool use_cache,
                    const std::string& json_path, const std::string& csv_path,
-                   bool deterministic_json, bool profile, int search_threads,
-                   int encoder_threads, int cache_max_support,
-                   bool class_signatures, hyde::bdd::ReorderMode reorder,
-                   double reorder_max_growth, bool manager_pool,
+                   bool deterministic_json, bool profile,
+                   int cache_max_support, hyde::bdd::ReorderMode reorder,
+                   double reorder_max_growth,
                    const std::string& cache_dir, bool cache_readonly,
                    std::uint64_t cache_max_bytes,
                    const std::string& circuits_filter) {
@@ -384,12 +359,8 @@ int run_batch_mode(const std::string& system_name, int k, int workers,
   options.verify_vectors = verify ? 128 : 0;
   options.use_cache = use_cache;
   options.cache_max_support = cache_max_support;
-  options.search_threads = search_threads;
-  options.encoder_threads = encoder_threads;
-  options.class_signatures = class_signatures;
   options.reorder = reorder;
   options.reorder_max_growth = reorder_max_growth;
-  options.manager_pool = manager_pool;
   options.cache_dir = cache_dir;
   options.cache_readonly = cache_readonly;
   options.cache_max_bytes = cache_max_bytes;
@@ -417,12 +388,10 @@ int run_batch_mode(const std::string& system_name, int k, int workers,
   }
   if (profile) {
     std::printf("\nsearch engine: %llu selects, %llu candidates evaluated, "
-                "%llu pruned, %llu memo hits, %llu memo clears\n",
+                "%llu memo hits, %llu memo clears\n",
                 static_cast<unsigned long long>(report.search.selects),
                 static_cast<unsigned long long>(
                     report.search.candidates_evaluated),
-                static_cast<unsigned long long>(
-                    report.search.candidates_pruned),
                 static_cast<unsigned long long>(report.search.memo_hits),
                 static_cast<unsigned long long>(report.search.memo_clears));
   }
@@ -478,8 +447,6 @@ int main(int argc, char** argv) {
   bool deterministic_json = false;
   bool profile = false;
   int workers = runtime::default_worker_count();
-  int search_threads = 1;
-  int encoder_threads = 1;
   std::uint64_t seed = 1;
   std::string in_file;
   int window_inputs = 12;
@@ -488,7 +455,6 @@ int main(int argc, char** argv) {
   bool read_latches = false;
   bdd::ReorderMode reorder = bdd::ReorderMode::kOff;
   double reorder_max_growth = 2.0;
-  bool manager_pool = false;
   std::string cache_dir;
   bool cache_readonly = false;
   std::uint64_t cache_max_bytes = 0;
@@ -554,26 +520,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       seed = static_cast<std::uint64_t>(value);
-    } else if (arg == "--search-threads" && i + 1 < argc) {
-      long value = 0;
-      if (!parse_long(argv[++i], &value) || value < 1 || value > 256) {
-        std::fprintf(stderr,
-                     "error: --search-threads expects an integer in 1..256, "
-                     "got '%s'\n",
-                     argv[i]);
-        return 2;
-      }
-      search_threads = static_cast<int>(value);
-    } else if (arg == "--encoder-threads" && i + 1 < argc) {
-      long value = 0;
-      if (!parse_long(argv[++i], &value) || value < 1 || value > 256) {
-        std::fprintf(stderr,
-                     "error: --encoder-threads expects an integer in 1..256, "
-                     "got '%s'\n",
-                     argv[i]);
-        return 2;
-      }
-      encoder_threads = static_cast<int>(value);
     } else if (arg == "--in" && i + 1 < argc) {
       in_file = argv[++i];
     } else if (arg == "--window-inputs" && i + 1 < argc) {
@@ -702,26 +648,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       cache_max_bytes = static_cast<std::uint64_t>(value);
-    } else if (arg == "--no-search-memo") {
-      ov.no_search_memo = true;
-      if (shape_flag.empty()) shape_flag = arg;
-    } else if (arg == "--no-search-pruning") {
-      ov.no_search_pruning = true;
-      if (shape_flag.empty()) shape_flag = arg;
-    } else if (arg == "--no-class-signatures") {
-      ov.no_class_signatures = true;
-    } else if (arg == "--signature-rows" && i + 1 < argc) {
-      long value = 0;
-      if (!parse_long(argv[++i], &value) || value < 1 ||
-          value > (1L << 24)) {
-        std::fprintf(stderr,
-                     "error: --signature-rows expects an integer in "
-                     "1..16777216, got '%s'\n",
-                     argv[i]);
-        return 2;
-      }
-      ov.class_signature_rows = static_cast<int>(value);
-      if (shape_flag.empty()) shape_flag = arg;
     } else if (arg == "--node-limit" && i + 1 < argc) {
       long value = 0;
       if (!parse_long(argv[++i], &value) || value < 0) {
@@ -766,8 +692,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       reorder_max_growth = value;
-    } else if (arg == "--manager-pool") {
-      manager_pool = true;
     } else if (arg == "--read-latches") {
       read_latches = true;
     } else if (arg == "--profile") {
@@ -819,17 +743,15 @@ int main(int argc, char** argv) {
     if (!shape_flag.empty()) {
       std::fprintf(stderr,
                    "error: %s shapes a single flow; --batch runs the preset "
-                   "systems as published (only --cache-max-support and "
-                   "--no-class-signatures carry over to batch options)\n",
+                   "systems as published (only --cache-max-support "
+                   "carries over to batch options)\n",
                    shape_flag.c_str());
       return 2;
     }
     return run_batch_mode(system_name, k, workers, seed, verify, use_cache,
                           json_path, csv_path, deterministic_json, profile,
-                          search_threads, encoder_threads,
                           ov.cache_max_support >= 0 ? ov.cache_max_support : 7,
-                          !ov.no_class_signatures, reorder,
-                          reorder_max_growth, manager_pool, cache_dir,
+                          reorder, reorder_max_growth, cache_dir,
                           cache_readonly, cache_max_bytes, batch_circuits);
   }
 
@@ -869,15 +791,9 @@ int main(int argc, char** argv) {
     part::WindowedFlowOptions options;
     options.flow = baseline::system_flow_options(system, k);
     options.flow.seed = seed;
-    options.flow.search_threads = search_threads;
-    options.flow.encoder_threads = encoder_threads;
     options.flow.reorder = reorder;
     options.flow.reorder_max_growth = reorder_max_growth;
     ov.apply(&options.flow);
-    // One warmed pool shared by all window workers; it must outlive the run,
-    // so it lives in this scope rather than inside the windowed engine.
-    bdd::ManagerPool window_pool;
-    if (manager_pool) options.flow.manager_pool = &window_pool;
     options.window.max_inputs = window_inputs;
     options.window.max_nodes = window_nodes;
     options.threads = window_threads;
@@ -985,9 +901,6 @@ int main(int argc, char** argv) {
 
   net::Network best_network("none");
   int best_luts = -1;
-  // Shared across the per-system runs below so a manager warmed by one
-  // system seeds the next; only handed out when --manager-pool was given.
-  bdd::ManagerPool single_run_pool;
   // Opt-in persistent cache, shared by every -s system run: the FlowOptions
   // fingerprint inside each cache key keeps entries from different systems
   // apart, exactly as in batch mode.
@@ -1022,11 +935,8 @@ int main(int argc, char** argv) {
       continue;
     }
     core::FlowOptions flow_options = baseline::system_flow_options(system, k);
-    flow_options.search_threads = search_threads;
-    flow_options.encoder_threads = encoder_threads;
     flow_options.reorder = reorder;
     flow_options.reorder_max_growth = reorder_max_growth;
-    flow_options.manager_pool = manager_pool ? &single_run_pool : nullptr;
     ov.apply(&flow_options);
     if (single_tiered != nullptr) flow_options.cache = single_tiered.get();
     auto result =

@@ -38,7 +38,7 @@ enum class System {
 /// Human-readable system name for reports.
 std::string system_name(System system);
 
-/// The core flow configuration modelling \p system (seed and engine knobs
+/// The core flow configuration modelling \p system (seed and other knobs
 /// left at their defaults; callers overwrite what they need).
 core::FlowOptions system_flow_options(System system, int k);
 
@@ -47,26 +47,15 @@ core::FlowOptions system_flow_options(System system, int k);
 /// \p cache optionally shares NPN-memoized decompositions across runs (see
 /// core/decomp_cache.hpp; the runtime's batch scheduler passes one cache to
 /// every job).
-/// \p search_threads parallelizes candidate bound-set evaluation *inside*
-/// the flow (decomp/search.hpp) — result-identical at any value; keep 1
-/// when many flows already run concurrently on a batch worker pool.
-/// \p encoder_threads likewise parallelizes the encoder's Step-4/Step-8 work
-/// (core/encoder.hpp) and \p class_signatures toggles the packed-signature
-/// column-compatibility fast path (decomp/compatible.hpp); both are
-/// result-neutral engine knobs.
 /// \p reorder / \p reorder_max_growth enable dynamic variable reordering in
 /// the flow's global BDD manager (docs/REORDER.md) — result-affecting, see
-/// core::FlowOptions. \p manager_pool recycles warmed managers across
-/// invocations (bdd/pool.hpp); result-neutral, may be shared across threads.
+/// core::FlowOptions.
 BaselineResult run_system(const net::Network& input, System system, int k,
                           int verify_vectors = 256, std::uint64_t seed = 1,
                           core::DecompCache* cache = nullptr,
-                          int cache_max_support = 7, int search_threads = 1,
-                          int encoder_threads = 1,
-                          bool class_signatures = true,
+                          int cache_max_support = 7,
                           bdd::ReorderMode reorder = bdd::ReorderMode::kOff,
-                          double reorder_max_growth = 2.0,
-                          bdd::ManagerPool* manager_pool = nullptr);
+                          double reorder_max_growth = 2.0);
 
 /// Fully-explicit variant: runs \p system's mapping pipeline (including the
 /// resubstitution pass for kSawadaResubLike) over an arbitrary FlowOptions.

@@ -3,14 +3,11 @@
 #include <algorithm>
 #include <limits>
 #include <map>
-#include <memory>
 #include <set>
 #include <stdexcept>
 
-#include "bdd/transfer.hpp"
 #include "decomp/search.hpp"
 #include "graph/matching.hpp"
-#include "runtime/scheduler.hpp"
 
 namespace hyde::core {
 
@@ -45,7 +42,7 @@ int image_class_cost(bdd::Manager& mgr, const std::vector<IsfBdd>& functions,
                      const std::vector<int>& lambda,
                      const std::vector<int>& all_vars,
                      decomp::DcPolicy dc_policy,
-                     const decomp::ClassComputeOptions& class_options) {
+                     decomp::ClassStats* class_stats) {
   decomp::DecompSpec spec;
   spec.mgr = &mgr;
   spec.f = decomp::build_image(mgr, functions, encoding, alpha_vars);
@@ -55,24 +52,7 @@ int image_class_cost(bdd::Manager& mgr, const std::vector<IsfBdd>& functions,
       spec.free.push_back(v);
     }
   }
-  return decomp::count_compatible_classes(spec, dc_policy, class_options);
-}
-
-/// A private single-threaded manager holding copies of the class functions
-/// for one encoder worker. Mirrors the bound-set search's snapshot contract:
-/// even read-only BDD traversal takes handle copies (reference-count writes),
-/// so concurrent jobs must never share a manager.
-struct EncoderSnapshot {
-  std::unique_ptr<bdd::Manager> mgr;
-  std::vector<IsfBdd> functions;
-};
-
-std::vector<int> identity_var_map(const bdd::Manager& mgr) {
-  std::vector<int> identity(static_cast<std::size_t>(mgr.num_vars()));
-  for (std::size_t i = 0; i < identity.size(); ++i) {
-    identity[i] = static_cast<int>(i);
-  }
-  return identity;
+  return decomp::count_compatible_classes(spec, dc_policy, class_stats);
 }
 
 }  // namespace
@@ -583,80 +563,12 @@ EncodingChoice encode_functions(bdd::Manager& mgr,
   trace.num_cols = num_cols;
   trace.num_rows = num_rows;
 
-  // Step 4: partitions of the class functions w.r.t. Y1. With worker threads
-  // the per-class pattern enumeration runs in manager-private snapshots; the
-  // patterns come back through an identity transfer and are interned in
-  // class-index → visit order, which is the exact serial interning sequence
-  // (BDD canonicity: transferring a pattern lands on the same node the serial
-  // cofactor walk would have built), so the SymbolTable — and every symbol id
-  // downstream — is bit-identical at any thread count.
+  // Step 4: partitions of the class functions w.r.t. Y1, interned in
+  // class-index order into one SymbolTable.
   decomp::SymbolTable symbols;
-  const int step4_threads = std::min(options.threads, n);
-  if (step4_threads > 1 && !trace.position_vars.empty()) {
-    const std::vector<int> identity = identity_var_map(mgr);
-    std::vector<EncoderSnapshot> snapshots(
-        static_cast<std::size_t>(step4_threads));
-    for (EncoderSnapshot& snap : snapshots) {
-      snap.mgr = std::make_unique<bdd::Manager>(mgr.num_vars());
-    }
-    for (int j = 0; j < n; ++j) {
-      EncoderSnapshot& snap =
-          snapshots[static_cast<std::size_t>(j % step4_threads)];
-      const IsfBdd& fn = functions[static_cast<std::size_t>(j)];
-      snap.functions.push_back(IsfBdd{bdd::transfer(fn.on, *snap.mgr, identity),
-                                      bdd::transfer(fn.dc, *snap.mgr, identity)});
-    }
-    std::vector<std::vector<decomp::PositionPattern>> patterns(
-        static_cast<std::size_t>(n));
-    std::vector<char> failed(static_cast<std::size_t>(n), 0);
-    {
-      runtime::JobScheduler pool(step4_threads);
-      for (int worker = 0; worker < step4_threads; ++worker) {
-        EncoderSnapshot& snap = snapshots[static_cast<std::size_t>(worker)];
-        pool.submit([&, worker]() {
-          int slot = 0;
-          for (int j = worker; j < n; j += step4_threads, ++slot) {
-            try {
-              patterns[static_cast<std::size_t>(j)] = decomp::partition_patterns(
-                  *snap.mgr, snap.functions[static_cast<std::size_t>(slot)],
-                  trace.position_vars);
-            } catch (...) {
-              failed[static_cast<std::size_t>(j)] = 1;
-            }
-          }
-        });
-      }
-      pool.wait_idle();
-    }
-    if (options.parallel_tasks != nullptr) {
-      *options.parallel_tasks += static_cast<std::uint64_t>(step4_threads);
-    }
-    for (int j = 0; j < n; ++j) {
-      if (failed[static_cast<std::size_t>(j)]) {
-        // Deterministic fallback: redo this class serially on the caller's
-        // manager, still in class-index order.
-        trace.partitions.push_back(decomp::make_partition(
-            mgr, functions[static_cast<std::size_t>(j)], trace.position_vars,
-            symbols));
-        continue;
-      }
-      std::vector<decomp::PositionPattern> local;
-      local.reserve(patterns[static_cast<std::size_t>(j)].size());
-      for (const decomp::PositionPattern& p :
-           patterns[static_cast<std::size_t>(j)]) {
-        local.push_back(decomp::PositionPattern{
-            p.position,
-            IsfBdd{bdd::transfer(p.pattern.on, mgr, identity),
-                   bdd::transfer(p.pattern.dc, mgr, identity)}});
-      }
-      trace.partitions.push_back(decomp::intern_partition(
-          local, static_cast<int>(trace.position_vars.size()), symbols));
-    }
-  } else {
-    for (const IsfBdd& fn : functions) {
-      trace.partitions.push_back(
-          decomp::make_partition(mgr, fn, trace.position_vars, symbols));
-    }
+  for (const IsfBdd& fn : functions) {
+    trace.partitions.push_back(
+        decomp::make_partition(mgr, fn, trace.position_vars, symbols));
   }
 
   // Steps 5-7.
@@ -697,68 +609,16 @@ EncodingChoice encode_functions(bdd::Manager& mgr,
     }
   }
 
-  // Step 8: keep whichever encoding yields fewer image classes. When both
-  // encodings are in play and worker threads are available, the two counts
-  // run concurrently in manager-private snapshots — a class count is a purely
-  // functional quantity, identical in any manager with the same variable
-  // order — and their counters merge random-first to match the serial stream.
+  // Step 8: keep whichever encoding yields fewer image classes.
   std::vector<int> all_vars = input_vars;
   all_vars.insert(all_vars.end(), alpha_vars.begin(), alpha_vars.end());
-  bool step8_done = false;
-  if (options.threads > 1 && assembled) {
-    const std::vector<int> identity = identity_var_map(mgr);
-    std::vector<EncoderSnapshot> snapshots(2);
-    for (EncoderSnapshot& snap : snapshots) {
-      snap.mgr = std::make_unique<bdd::Manager>(mgr.num_vars());
-      snap.functions.reserve(functions.size());
-      for (const IsfBdd& fn : functions) {
-        snap.functions.push_back(
-            IsfBdd{bdd::transfer(fn.on, *snap.mgr, identity),
-                   bdd::transfer(fn.dc, *snap.mgr, identity)});
-      }
-    }
-    std::vector<int> counts(2, -1);
-    std::vector<decomp::ClassStats> local_stats(2);
-    std::vector<char> failed(2, 0);
-    {
-      runtime::JobScheduler pool(2);
-      for (int e = 0; e < 2; ++e) {
-        EncoderSnapshot& snap = snapshots[static_cast<std::size_t>(e)];
-        pool.submit([&, e]() {
-          const Encoding& enc = e == 0 ? random_enc : structured;
-          decomp::ClassComputeOptions job_options = options.class_options;
-          job_options.stats = &local_stats[static_cast<std::size_t>(e)];
-          try {
-            counts[static_cast<std::size_t>(e)] = image_class_cost(
-                *snap.mgr, snap.functions, enc, alpha_vars, vp.bound, all_vars,
-                options.dc_policy, job_options);
-          } catch (...) {
-            failed[static_cast<std::size_t>(e)] = 1;
-          }
-        });
-      }
-      pool.wait_idle();
-    }
-    if (failed[0] == 0 && failed[1] == 0) {
-      trace.random_image_classes = counts[0];
-      trace.chosen_image_classes = counts[1];
-      if (options.class_options.stats != nullptr) {
-        *options.class_options.stats += local_stats[0];
-        *options.class_options.stats += local_stats[1];
-      }
-      if (options.parallel_tasks != nullptr) *options.parallel_tasks += 2;
-      step8_done = true;
-    }
-  }
-  if (!step8_done) {
-    trace.random_image_classes =
-        image_class_cost(mgr, functions, random_enc, alpha_vars, vp.bound,
-                         all_vars, options.dc_policy, options.class_options);
-    if (assembled) {
-      trace.chosen_image_classes =
-          image_class_cost(mgr, functions, structured, alpha_vars, vp.bound,
-                           all_vars, options.dc_policy, options.class_options);
-    }
+  trace.random_image_classes =
+      image_class_cost(mgr, functions, random_enc, alpha_vars, vp.bound,
+                       all_vars, options.dc_policy, options.class_stats);
+  if (assembled) {
+    trace.chosen_image_classes =
+        image_class_cost(mgr, functions, structured, alpha_vars, vp.bound,
+                         all_vars, options.dc_policy, options.class_stats);
   }
   if (!assembled ||
       trace.random_image_classes < trace.chosen_image_classes) {

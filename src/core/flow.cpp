@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstring>
 #include <map>
-#include <memory>
 #include <set>
 #include <stdexcept>
 #include <unordered_map>
@@ -26,15 +25,6 @@ int bits_for(int n) {
 double seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
       .count();
-}
-
-decomp::SearchOptions search_options_from(const FlowOptions& options) {
-  decomp::SearchOptions s;
-  s.threads = options.search_threads;
-  s.use_memo = options.search_memo;
-  s.use_pruning = options.search_pruning;
-  s.memo_capacity = options.search_memo_capacity;
-  return s;
 }
 
 /// Digest of every FlowOptions knob that shapes a cached template
@@ -61,8 +51,7 @@ std::uint64_t cache_fingerprint(const FlowOptions& options) {
   }
   // Reorder knobs are result-affecting (the variable order steers cube-min
   // costs and budget outcomes), so templates computed under different
-  // reorder policies must not be shared. The manager pool is allocation
-  // reuse only and stays out.
+  // reorder policies must not be shared.
   if (options.reorder != bdd::ReorderMode::kOff) {
     mix(static_cast<std::uint64_t>(options.reorder));
     std::uint64_t growth_bits = 0;
@@ -91,7 +80,7 @@ class Decomposer {
                            ? cache_ceiling
                            : std::min(options.cache_max_support,
                                       tt::kMaxExactNpnVars)),
-        search_(gm, search_options_from(options)) {}
+        search_(gm) {}
 
   /// The flow-lifetime bound-set search engine: its memo spans every
   /// decomposition step and encoder trial over gm_. The engine's counters
@@ -99,26 +88,8 @@ class Decomposer {
   /// seconds become the varpart phase).
   decomp::BoundSetSearch& search() { return search_; }
 
-  /// Class-computation knobs bound to this decomposer's counter sink.
-  decomp::ClassComputeOptions class_options() {
-    decomp::ClassComputeOptions c;
-    c.use_signatures = options_.class_signatures;
-    c.signature_max_rows = options_.class_signature_rows;
-    c.stats = &class_stats_;
-    return c;
-  }
-  const decomp::ClassStats& class_stats() const { return class_stats_; }
-  std::uint64_t encoder_parallel_tasks() const {
-    return encoder_parallel_tasks_;
-  }
-
-  /// Threads the flow's encoder-engine knobs (worker threads, class-engine
-  /// options) and counter sinks into an EncoderOptions.
-  void fill_encoder_engine(EncoderOptions* enc) {
-    enc->threads = options_.encoder_threads;
-    enc->class_options = class_options();
-    enc->parallel_tasks = &encoder_parallel_tasks_;
-  }
+  /// This decomposer's class-computation counter sink.
+  decomp::ClassStats* class_stats() { return &class_stats_; }
 
   /// Declares that manager variable \p var is computed by network node.
   void map_var(int var, net::NodeId node) { var_node_[var] = node; }
@@ -161,7 +132,7 @@ class Decomposer {
       const auto classes_start = std::chrono::steady_clock::now();
       const int classes =
           decomp::count_compatible_classes(spec, options_.dc_policy,
-                                           class_options());
+                                           &class_stats_);
       stats_.classes_seconds += seconds_since(classes_start);
       if (bits_for(classes) < static_cast<int>(preferred.size())) {
         vp.success = true;
@@ -209,7 +180,7 @@ class Decomposer {
     const auto classes_start = std::chrono::steady_clock::now();
     const auto classes =
         decomp::compute_compatible_classes(spec, options_.dc_policy,
-                                           class_options());
+                                           &class_stats_);
     stats_.classes_seconds += seconds_since(classes_start);
     if (classes.num_classes() == 1) {
       // The function does not truly depend on the bound set.
@@ -235,7 +206,7 @@ class Decomposer {
       enc_options.dc_policy = options_.dc_policy;
       enc_options.tear_penalty_scale = options_.tear_penalty_scale;
       enc_options.search = &search_;
-      fill_encoder_engine(&enc_options);
+      enc_options.class_stats = &class_stats_;
       EncodingChoice choice =
           encode_classes(gm_, classes, vp.free, alpha_vars, enc_options);
       encoding = choice.encoding;
@@ -346,9 +317,8 @@ class Decomposer {
     // so the deterministic cached entry.stats never carries them.
     stats_.absorb_bdd_stats(tm.stats());
     sub_stats.absorb_search_stats(sub.search().stats());
-    sub_stats.class_signature_pairs += sub.class_stats().signature_pairs;
-    sub_stats.class_bdd_pairs += sub.class_stats().bdd_pairs;
-    sub_stats.encoder_parallel_tasks += sub.encoder_parallel_tasks();
+    sub_stats.class_signature_pairs += sub.class_stats()->signature_pairs;
+    sub_stats.class_bdd_pairs += sub.class_stats()->bdd_pairs;
     stats_.absorb_search_and_phases(sub_stats);
     return entry;
   }
@@ -508,7 +478,6 @@ class Decomposer {
   int cache_ceiling_ = 0;
   decomp::BoundSetSearch search_;
   decomp::ClassStats class_stats_;
-  std::uint64_t encoder_parallel_tasks_ = 0;
 };
 
 /// Greedy support-overlap grouping of primary outputs for hyper-functions.
@@ -565,7 +534,7 @@ std::vector<net::NodeId> run_hyper_group_raw(
   enc_options.dc_policy = options.dc_policy;
   enc_options.tear_penalty_scale = options.tear_penalty_scale;
   enc_options.search = &decomposer.search();
-  decomposer.fill_encoder_engine(&enc_options);
+  enc_options.class_stats = decomposer.class_stats();
   const double search_before = decomposer.search().stats().seconds;
   const auto encode_start = std::chrono::steady_clock::now();
   const HyperFunction hyper = build_hyper_function(
@@ -654,23 +623,6 @@ FlowResult run_flow(const net::Network& input, const FlowOptions& options,
 
 namespace {
 
-/// Owns the flow's global manager for the duration of run_flow_once and, when
-/// a pool is configured, returns it on every exit path (including the
-/// std::length_error unwind the windowed engine relies on). Declared before
-/// every Bdd local so the manager is destroyed/released last.
-struct GlobalManagerGuard {
-  bdd::ManagerPool* pool = nullptr;
-  std::unique_ptr<bdd::Manager> mgr;
-
-  GlobalManagerGuard(bdd::ManagerPool* p, int num_vars) : pool(p) {
-    mgr = pool != nullptr ? pool->acquire(num_vars)
-                          : std::make_unique<bdd::Manager>(num_vars);
-  }
-  ~GlobalManagerGuard() {
-    if (pool != nullptr && mgr != nullptr) pool->release(std::move(mgr));
-  }
-};
-
 FlowResult run_flow_once(const net::Network& input, const FlowOptions& options,
                          const net::Network* external_dc) {
   FlowResult result;
@@ -678,9 +630,8 @@ FlowResult run_flow_once(const net::Network& input, const FlowOptions& options,
   net::Network& out = result.network;
   out.set_model_name(input.model_name());
 
-  GlobalManagerGuard gm_guard(options.manager_pool,
-                              std::max(2, input.num_nodes()));
-  bdd::Manager& gm = *gm_guard.mgr;
+  // Declared before every Bdd local so the manager is destroyed last.
+  bdd::Manager gm(std::max(2, input.num_nodes()));
   if (options.bdd_node_limit != 0) gm.set_node_limit(options.bdd_node_limit);
   if (options.reorder != bdd::ReorderMode::kOff) {
     gm.set_reorder_mode(options.reorder, options.reorder_max_growth);
@@ -889,9 +840,8 @@ FlowResult run_flow_once(const net::Network& input, const FlowOptions& options,
   out.drop_unused_inputs(ppi_nodes);
   stats.absorb_bdd_stats(gm.stats());
   stats.absorb_search_stats(decomposer.search().stats());
-  stats.class_signature_pairs += decomposer.class_stats().signature_pairs;
-  stats.class_bdd_pairs += decomposer.class_stats().bdd_pairs;
-  stats.encoder_parallel_tasks += decomposer.encoder_parallel_tasks();
+  stats.class_signature_pairs += decomposer.class_stats()->signature_pairs;
+  stats.class_bdd_pairs += decomposer.class_stats()->bdd_pairs;
   return result;
 }
 }  // namespace

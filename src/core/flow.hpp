@@ -20,6 +20,11 @@
 ///    DC merging on (sharing comes from downstream functional dedup);
 ///  - Sawada-like [8] (no resub): per-output decomposition, random encoding,
 ///    distinct-column classes (no clique partitioning).
+///
+/// One flow runs serially on its caller's thread over one private BDD
+/// manager. Concurrency comes from running whole flows side by side
+/// (`runtime::run_batch` jobs, `part::run_windowed_flow` windows), never
+/// from inside a flow.
 
 #pragma once
 
@@ -29,7 +34,6 @@
 #include <vector>
 
 #include "bdd/bdd.hpp"
-#include "bdd/pool.hpp"
 #include "core/decomp_cache.hpp"
 #include "core/encoder.hpp"
 #include "decomp/search.hpp"
@@ -80,60 +84,23 @@ struct FlowOptions {
   /// capped at tt::kMaxExactNpnVars by the canonicalizer.
   int cache_max_support = 7;
 
-  // Bound-set search engine knobs (decomp/search.hpp). All three are
-  // result-neutral — they change how fast the greedy search converges,
-  // never which bound sets (hence which network) it produces — so they are
-  // deliberately excluded from the NPN-cache fingerprint.
-  /// Threads evaluating candidate bound sets inside one flow. Keep at 1 when
-  /// flows themselves run on a batch worker pool; raise for single large
-  /// flows.
-  int search_threads = 1;
-  /// Memoize chart column counts across the flow's repeated searches.
-  bool search_memo = true;
-  /// Abandon candidate charts once they exceed the incumbent column count.
-  bool search_pruning = true;
-  /// Memo entry cap before a wholesale clear.
-  std::size_t search_memo_capacity = std::size_t{1} << 14;
-
-  // Class-computation and encoder engine knobs (decomp/compatible.hpp,
-  // core/encoder.hpp). Result-neutral like the search knobs — identical
-  // classes, encodings and networks at every setting — so they are likewise
-  // excluded from the NPN-cache fingerprint.
-  /// Decide column compatibility with packed row signatures (word ops) when
-  /// the row space fits class_signature_rows; off forces the per-pair BDD
-  /// disjointness tests.
-  bool class_signatures = true;
-  /// Row-space bound for the signature fast path (rows = 2^|support union|).
-  int class_signature_rows = 4096;
-  /// Worker threads for the encoder's snapshot-parallel Step 4 (per-class Π
-  /// computation) and Step 8 (random-vs-structured image-class counts).
-  int encoder_threads = 1;
-
   /// Hard cap on live nodes in the flow's global BDD manager (0 = no limit).
   /// Exceeding it makes the flow throw std::length_error; the windowed
   /// engine (part/windowed.hpp) catches it and splits or passes the window
   /// through. Result-neutral whenever the flow completes, so excluded from
-  /// the NPN-cache fingerprint like the other engine knobs.
+  /// the NPN-cache fingerprint.
   std::size_t bdd_node_limit = 0;
 
   /// Dynamic variable reordering in the flow's global BDD manager (see
   /// docs/REORDER.md). kSift arms the soft-budget ladder (half the hard
   /// bdd_node_limit when one is set), kAuto adds the growth trigger. Unlike
-  /// the engine knobs above these are **result-affecting**: the variable
+  /// the node limit these are **result-affecting**: the variable
   /// order steers one_path_count cube costs and which windows fit a budget,
   /// so both enter the NPN-cache fingerprint.
   bdd::ReorderMode reorder = bdd::ReorderMode::kOff;
   /// kAuto growth trigger: reorder when live nodes exceed this factor of the
   /// watermark left by the last reorder. Must be > 1.
   double reorder_max_growth = 2.0;
-
-  /// Optional pool of warmed managers (bdd/pool.hpp): the flow acquires its
-  /// global manager from the pool and releases it on exit instead of
-  /// constructing/destroying one per invocation. Purely an allocation-reuse
-  /// knob — never result-affecting — so excluded from the fingerprint. The
-  /// pool must outlive every flow using it; it is safe to share one pool
-  /// across batch worker threads.
-  bdd::ManagerPool* manager_pool = nullptr;
 };
 
 /// Flow outcome counters (area is the post-sweep logic node count; the
@@ -169,21 +136,22 @@ struct FlowStats {
   std::uint64_t bdd_peak_live_nodes = 0;  ///< max over managers, not a sum
 
   // Bound-set search engine counters (decomp/search.hpp). Volatile like the
-  // bdd_* block: pruning depth and memo contents depend on evaluation order
-  // and thread count, so these only appear in volatile report sections.
+  // bdd_* block: memo contents depend on the flow's search history (and NPN
+  // template misses on cache timing), so these only appear in volatile
+  // report sections.
   std::uint64_t search_selects = 0;
   std::uint64_t search_candidates_evaluated = 0;
+  /// Always 0: the engine no longer prunes candidates. Kept only because the
+  /// end-to-end benchmark (perfbench/) reads it for its prune-ratio metric.
   std::uint64_t search_candidates_pruned = 0;
   std::uint64_t search_memo_hits = 0;
   std::uint64_t search_memo_clears = 0;
 
-  // Class-computation / encoder engine counters (decomp/compatible.hpp,
-  // core/encoder.hpp). Volatile like the search block: they record which
-  // fast path fired and how many tasks hit worker threads, never anything
-  // the results depend on.
+  // Class-computation counters (decomp/compatible.hpp). Volatile like the
+  // search block: they record which compatibility path decided each column
+  // pair, never anything the results depend on.
   std::uint64_t class_signature_pairs = 0;
   std::uint64_t class_bdd_pairs = 0;
-  std::uint64_t encoder_parallel_tasks = 0;
 
   // Windowed-decomposition counters (part/windowed.hpp). Deterministic for
   // fixed (input, options) — extraction, budget fallbacks and splits never
@@ -239,7 +207,6 @@ struct FlowStats {
   void absorb_search_stats(const decomp::SearchStats& s) {
     search_selects += s.selects;
     search_candidates_evaluated += s.candidates_evaluated;
-    search_candidates_pruned += s.candidates_pruned;
     search_memo_hits += s.memo_hits;
     search_memo_clears += s.memo_clears;
     varpart_seconds += s.seconds;
@@ -250,12 +217,10 @@ struct FlowStats {
   void absorb_search_and_phases(const FlowStats& s) {
     search_selects += s.search_selects;
     search_candidates_evaluated += s.search_candidates_evaluated;
-    search_candidates_pruned += s.search_candidates_pruned;
     search_memo_hits += s.search_memo_hits;
     search_memo_clears += s.search_memo_clears;
     class_signature_pairs += s.class_signature_pairs;
     class_bdd_pairs += s.class_bdd_pairs;
-    encoder_parallel_tasks += s.encoder_parallel_tasks;
     store_disk_hits += s.store_disk_hits;
     store_disk_misses += s.store_disk_misses;
     varpart_seconds += s.varpart_seconds;

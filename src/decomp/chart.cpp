@@ -48,20 +48,17 @@ struct CutChart {
   std::int64_t root = 0;
   int cut_level = 0;
   std::vector<int> var_map;  // source var -> cut level (-1 = unused)
-  int max_columns = 0;   ///< abandon once columns.size() exceeds this (0 = off)
-  bool aborted = false;  ///< traversal stopped early; columns is a prefix
 
-  explicit CutChart(const DecompSpec& spec, int max_columns_limit = 0)
+  explicit CutChart(const DecompSpec& spec)
       : cut_mgr(static_cast<int>(spec.bound.size() + spec.free.size())),
-        cut_level(static_cast<int>(spec.bound.size())),
-        max_columns(max_columns_limit) {
+        cut_level(static_cast<int>(spec.bound.size())) {
     bdd::Manager& src = *spec.mgr;
     var_map.assign(static_cast<std::size_t>(src.num_vars()), -1);
     int next = 0;
     for (int v : spec.bound) var_map[static_cast<std::size_t>(v)] = next++;
     for (int v : spec.free) var_map[static_cast<std::size_t>(v)] = next++;
     // Support variables the spec's free list missed still go below the cut:
-    // the recursive reference tolerates an incomplete free list (it only
+    // the recursive oracle tolerates an incomplete free list (it only
     // cofactors the bound set), so the cut path must too.
     for (int v : src.support(spec.f.on)) {
       if (var_map[static_cast<std::size_t>(v)] < 0) {
@@ -86,16 +83,7 @@ struct CutChart {
     const std::uint64_t key = pattern_key(f_on, f_dc);
     if (below_cut(f_on) && below_cut(f_dc)) {
       auto [it, inserted] = column_memo_.emplace(key, columns.size());
-      if (inserted) {
-        columns.emplace_back(f_on, f_dc);
-        // Early exit: one column past the threshold proves the candidate
-        // cannot beat the incumbent, so the rest of the chart is moot. The
-        // pair graph is left half-built — bounded charts are count-only.
-        if (max_columns > 0 &&
-            static_cast<int>(columns.size()) > max_columns) {
-          aborted = true;
-        }
-      }
+      if (inserted) columns.emplace_back(f_on, f_dc);
       return ~static_cast<std::int64_t>(it->second);
     }
     if (auto it = pair_memo_.find(key); it != pair_memo_.end()) {
@@ -113,7 +101,6 @@ struct CutChart {
     };
     const std::int64_t lo = visit(child(f_on, false), child(f_dc, false));
     internals[idx].lo = lo;
-    if (aborted) return static_cast<std::int64_t>(idx);
     const std::int64_t hi = visit(child(f_on, true), child(f_dc, true));
     internals[idx].hi = hi;
     return static_cast<std::int64_t>(idx);
@@ -234,8 +221,8 @@ std::vector<Column> enumerate_columns(const DecompSpec& spec) {
 }
 
 std::vector<ColumnSignature> column_signatures(
-    const DecompSpec& spec, const std::vector<Column>& columns, int max_rows) {
-  if (max_rows <= 0 || columns.empty()) return {};
+    const DecompSpec& spec, const std::vector<Column>& columns) {
+  if (columns.empty()) return {};
   bdd::Manager& mgr = *spec.mgr;
   // Shared signature variable set: the sorted union of the pattern supports.
   // Free variables no pattern depends on only pad the row space without
@@ -255,7 +242,7 @@ std::vector<ColumnSignature> column_signatures(
   }
   const int nv = static_cast<int>(row_vars.size());
   if (nv > tt::TruthTable::kMaxVars || nv > 30 ||
-      (std::int64_t{1} << nv) > max_rows) {
+      (std::int64_t{1} << nv) > kMaxSignatureRows) {
     return {};  // row space too large; caller falls back to BDD tests
   }
   const std::uint64_t rows = std::uint64_t{1} << nv;
@@ -284,44 +271,6 @@ std::vector<ColumnSignature> column_signatures(
   return sigs;
 }
 
-std::vector<Column> enumerate_columns_recursive(const DecompSpec& spec) {
-  check_spec(spec);
-  bdd::Manager& mgr = *spec.mgr;
-  std::vector<Column> columns;
-  std::unordered_map<std::uint64_t, std::size_t> index_of;
-
-  // Walk all 2^|bound| assignments by successive cofactoring; patterns that
-  // coincide as (on, dc) BDD pairs are merged into one column.
-  std::function<void(std::size_t, const bdd::Bdd&, const bdd::Bdd&, std::uint64_t)>
-      rec = [&](std::size_t depth, const bdd::Bdd& on, const bdd::Bdd& dc,
-                std::uint64_t minterm) {
-        if (depth == spec.bound.size()) {
-          const std::uint64_t key = pattern_key(on, dc);
-          auto [it, inserted] = index_of.emplace(key, columns.size());
-          if (inserted) {
-            columns.push_back(Column{IsfBdd{on, dc}, mgr.zero(), {}});
-          }
-          columns[it->second].minterms.push_back(minterm);
-          return;
-        }
-        const int var = spec.bound[depth];
-        rec(depth + 1, mgr.cofactor(on, var, false), mgr.cofactor(dc, var, false),
-            minterm);
-        rec(depth + 1, mgr.cofactor(on, var, true), mgr.cofactor(dc, var, true),
-            minterm | (std::uint64_t{1} << depth));
-      };
-  rec(0, spec.f.on, spec.f.dc, 0);
-
-  for (Column& column : columns) {
-    bdd::Bdd indicator = mgr.zero();
-    for (std::uint64_t m : column.minterms) {
-      indicator = indicator | minterm_cube(mgr, spec.bound, m);
-    }
-    column.indicator = std::move(indicator);
-  }
-  return columns;
-}
-
 int count_columns_via_cut(const DecompSpec& spec) {
   if (spec.mgr == nullptr) {
     throw std::invalid_argument("DecompSpec: null manager");
@@ -329,37 +278,9 @@ int count_columns_via_cut(const DecompSpec& spec) {
   return static_cast<int>(CutChart(spec).columns.size());
 }
 
-BoundedCount count_columns_bounded(const DecompSpec& spec, int max_columns) {
-  if (spec.mgr == nullptr) {
-    throw std::invalid_argument("DecompSpec: null manager");
-  }
-  const CutChart chart(spec, max_columns > 0 ? max_columns : 0);
-  return BoundedCount{static_cast<int>(chart.columns.size()), chart.aborted};
-}
-
 int count_columns(const DecompSpec& spec) {
   check_spec(spec);
   return static_cast<int>(CutChart(spec).columns.size());
-}
-
-int count_columns_recursive(const DecompSpec& spec) {
-  check_spec(spec);
-  bdd::Manager& mgr = *spec.mgr;
-  // Hold handles so GC cannot recycle pattern ids mid-enumeration.
-  std::unordered_map<std::uint64_t, std::pair<bdd::Bdd, bdd::Bdd>> seen;
-  std::function<void(std::size_t, const bdd::Bdd&, const bdd::Bdd&)> rec =
-      [&](std::size_t depth, const bdd::Bdd& on, const bdd::Bdd& dc) {
-        if (depth == spec.bound.size()) {
-          seen.emplace(pattern_key(on, dc), std::make_pair(on, dc));
-          return;
-        }
-        const int var = spec.bound[depth];
-        rec(depth + 1, mgr.cofactor(on, var, false),
-            mgr.cofactor(dc, var, false));
-        rec(depth + 1, mgr.cofactor(on, var, true), mgr.cofactor(dc, var, true));
-      };
-  rec(0, spec.f.on, spec.f.dc);
-  return static_cast<int>(seen.size());
 }
 
 }  // namespace hyde::decomp

@@ -97,7 +97,7 @@ IsfBdd merge_columns(bdd::Manager& mgr, const std::vector<Column>& columns,
 }
 
 ClassResult compute_compatible_classes(const DecompSpec& spec, DcPolicy policy,
-                                       const ClassComputeOptions& options) {
+                                       ClassStats* stats) {
   bdd::Manager& mgr = *spec.mgr;
   ClassResult result;
   // Class construction needs patterns and indicators but never the raw
@@ -119,14 +119,11 @@ ClassResult compute_compatible_classes(const DecompSpec& spec, DcPolicy policy,
         std::vector<char>(static_cast<std::size_t>(n), 0));
     const std::uint64_t pairs =
         static_cast<std::uint64_t>(n) * static_cast<std::uint64_t>(n > 0 ? n - 1 : 0) / 2;
-    std::vector<ColumnSignature> sigs;
-    if (options.use_signatures) {
-      sigs = column_signatures(chart_spec, result.columns,
-                               options.signature_max_rows);
-    }
+    const std::vector<ColumnSignature> sigs =
+        column_signatures(chart_spec, result.columns);
     if (!sigs.empty()) {
       fill_adjacency_from_signatures(sigs, &adjacent);
-      if (options.stats != nullptr) options.stats->signature_pairs += pairs;
+      if (stats != nullptr) stats->signature_pairs += pairs;
     } else {
       // Hoist the per-column off() BDD out of the O(c²) pair loop.
       std::vector<bdd::Bdd> offs;
@@ -135,11 +132,9 @@ ClassResult compute_compatible_classes(const DecompSpec& spec, DcPolicy policy,
         offs.push_back(c.pattern.off());
       }
       fill_adjacency_from_bdds(mgr, result.columns, offs, &adjacent);
-      if (options.stats != nullptr) options.stats->bdd_pairs += pairs;
+      if (stats != nullptr) stats->bdd_pairs += pairs;
     }
-    groups = options.use_reference_clique
-                 ? graph::clique_partition_reference(n, adjacent)
-                 : graph::clique_partition(n, adjacent);
+    groups = graph::clique_partition(n, adjacent);
   }
 
   for (const auto& members : groups) {
@@ -157,11 +152,11 @@ ClassResult compute_compatible_classes(const DecompSpec& spec, DcPolicy policy,
 }
 
 int count_compatible_classes(const DecompSpec& spec, DcPolicy policy,
-                              const ClassComputeOptions& options) {
+                              ClassStats* stats) {
   if (policy == DcPolicy::kDistinctColumns || spec.f.dc.is_zero()) {
     return count_columns(spec);
   }
-  return compute_compatible_classes(spec, policy, options).num_classes();
+  return compute_compatible_classes(spec, policy, stats).num_classes();
 }
 
 }  // namespace hyde::decomp

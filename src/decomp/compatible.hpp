@@ -51,39 +51,21 @@ struct ClassStats {
   std::uint64_t signature_pairs = 0;
   /// Column pairs decided by BDD disjointness tests (fallback path).
   std::uint64_t bdd_pairs = 0;
-
-  void operator+=(const ClassStats& other) {
-    signature_pairs += other.signature_pairs;
-    bdd_pairs += other.bdd_pairs;
-  }
 };
 
-/// Result-neutral engine knobs for compatible-class computation. Every
-/// setting produces identical classes in identical order; the knobs only
-/// select how the column-compatibility graph is evaluated.
-struct ClassComputeOptions {
-  /// Decide column compatibility with packed row signatures (word ops)
-  /// when the row space fits signature_max_rows; otherwise fall back to
-  /// per-pair BDD disjointness with hoisted off() BDDs.
-  bool use_signatures = true;
-  /// Row-space bound for the signature path (rows = 2^|support union|).
-  int signature_max_rows = 4096;
-  /// Route clique partitioning through the recount-from-scratch reference
-  /// implementation (bench/test fidelity knob; partitions are identical).
-  bool use_reference_clique = false;
-  /// Optional counter sink.
-  ClassStats* stats = nullptr;
-};
-
-/// Computes the compatible classes of the chart of \p spec.
+/// Computes the compatible classes of the chart of \p spec. Column
+/// compatibility is decided by packed row signatures when the chart's row
+/// space fits kMaxSignatureRows and by per-pair BDD disjointness otherwise;
+/// both decide every pair identically. \p stats, when given, counts the pairs
+/// each path decided.
 ClassResult compute_compatible_classes(
     const DecompSpec& spec, DcPolicy policy = DcPolicy::kCliquePartition,
-    const ClassComputeOptions& options = {});
+    ClassStats* stats = nullptr);
 
 /// Number of compatible classes only (convenience for cost functions).
 int count_compatible_classes(const DecompSpec& spec,
                              DcPolicy policy = DcPolicy::kCliquePartition,
-                             const ClassComputeOptions& options = {});
+                             ClassStats* stats = nullptr);
 
 /// True iff two column patterns agree on their common care set.
 bool columns_compatible(bdd::Manager& mgr, const IsfBdd& a, const IsfBdd& b);

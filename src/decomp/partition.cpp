@@ -5,6 +5,7 @@
 #include <map>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 namespace hyde::decomp {
 
@@ -61,24 +62,18 @@ std::string Partition::to_string() const {
 Partition make_partition(bdd::Manager& mgr, const IsfBdd& f,
                          const std::vector<int>& position_vars,
                          SymbolTable& symbols) {
-  // Equivalence with the split form holds by construction: the enumeration
-  // emits patterns in visit order and the interning folds them in that order.
-  return intern_partition(partition_patterns(mgr, f, position_vars),
-                          static_cast<int>(position_vars.size()), symbols);
-}
-
-std::vector<PositionPattern> partition_patterns(
-    bdd::Manager& mgr, const IsfBdd& f, const std::vector<int>& position_vars) {
   if (position_vars.size() > 20) {
     throw std::invalid_argument("make_partition: too many position variables");
   }
-  std::vector<PositionPattern> result;
-  result.reserve(std::size_t{1} << position_vars.size());
+  // Enumerate every (position, residual pattern) pair first, then intern the
+  // patterns in that low-cofactor-first visit order.
+  std::vector<std::pair<std::uint64_t, IsfBdd>> patterns;
+  patterns.reserve(std::size_t{1} << position_vars.size());
   std::function<void(std::size_t, const bdd::Bdd&, const bdd::Bdd&, std::uint64_t)>
       rec = [&](std::size_t depth, const bdd::Bdd& on, const bdd::Bdd& dc,
                 std::uint64_t position) {
         if (depth == position_vars.size()) {
-          result.push_back(PositionPattern{position, IsfBdd{on, dc}});
+          patterns.emplace_back(position, IsfBdd{on, dc});
           return;
         }
         const int var = position_vars[depth];
@@ -88,15 +83,11 @@ std::vector<PositionPattern> partition_patterns(
             position | (std::uint64_t{1} << depth));
       };
   rec(0, f.on, f.dc, 0);
-  return result;
-}
 
-Partition intern_partition(const std::vector<PositionPattern>& patterns,
-                           int num_position_vars, SymbolTable& symbols) {
   Partition result;
-  result.symbols.resize(std::size_t{1} << num_position_vars);
-  for (const PositionPattern& p : patterns) {
-    result.symbols[p.position] = symbols.id_of(p.pattern.on, p.pattern.dc);
+  result.symbols.resize(std::size_t{1} << position_vars.size());
+  for (const auto& [position, pattern] : patterns) {
+    result.symbols[position] = symbols.id_of(pattern.on, pattern.dc);
   }
   return result;
 }

@@ -1,18 +1,11 @@
 #include "decomp/search.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <cassert>
 #include <chrono>
-#include <climits>
 #include <cstdint>
-#include <mutex>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
-
-#include "bdd/transfer.hpp"
-#include "runtime/scheduler.hpp"
 
 namespace hyde::decomp {
 
@@ -24,21 +17,9 @@ std::size_t combine_hash(std::size_t seed, std::size_t value) {
   return seed ^ (value + 0x9e3779b97f4a7c15ULL + (seed << 6) + (seed >> 2));
 }
 
-/// Publishes an exact column count into the shared incumbent used as the
-/// pruning threshold. Monotone fetch-min: the incumbent only ever decreases,
-/// so a stale read yields a looser (still correct) threshold.
-// hyde-hot
-void publish_incumbent(std::atomic<int>& incumbent, int cost) {
-  int current = incumbent.load(std::memory_order_relaxed);
-  while (cost < current &&
-         !incumbent.compare_exchange_weak(current, cost,
-                                          std::memory_order_relaxed)) {
-  }
-}
-
 /// Strict-weak order of the greedy selection: smaller column count first,
 /// then the smaller variable index. Matches the legacy select_bound_set
-/// update rule, so the reduction is independent of evaluation order.
+/// update rule.
 // hyde-hot
 bool better_candidate(int cost, int var, int best_cost, int best_var) {
   if (best_var < 0) return true;
@@ -48,12 +29,10 @@ bool better_candidate(int cost, int var, int best_cost, int best_var) {
 
 }  // namespace
 
-/// Memoized column count for one (ISF, bound set). `lower_bound == false`
-/// means `count` is exact; otherwise the candidate was pruned when this was
-/// recorded and `count` is a proven lower bound on the true column count.
-/// Entries hold the ISF root handles: the external references pin the nodes,
-/// so the (on id, dc id) pair in the key denotes this function — and no
-/// other — for as long as the entry lives.
+/// Memoized exact column count for one (ISF, bound set). Entries hold the
+/// ISF root handles: the external references pin the nodes, so the (on id,
+/// dc id) pair in the key denotes this function — and no other — for as long
+/// as the entry lives.
 struct BoundSetSearch::Memo {
   struct Key {
     std::uint32_t on_id = 0;
@@ -79,63 +58,21 @@ struct BoundSetSearch::Memo {
     bdd::Bdd on;
     bdd::Bdd dc;
     int count = 0;
-    bool lower_bound = false;
   };
 
   std::unordered_map<Key, Entry, KeyHash> table;
 };
 
-/// A private single-threaded manager holding a read-only copy of the ISF
-/// under search. Each parallel candidate evaluation exclusively owns one
-/// snapshot for its duration: chart traversal takes handle copies of the
-/// roots (reference-count writes), so even "read-only" evaluation must not
-/// share a manager between two concurrent jobs.
-struct BoundSetSearch::Snapshot {
-  std::unique_ptr<bdd::Manager> mgr;
-  IsfBdd f;
-};
-
-BoundSetSearch::BoundSetSearch(bdd::Manager& mgr, const SearchOptions& options)
-    : mgr_(mgr), options_(options), memo_(new Memo) {
-  if (options_.threads < 1) options_.threads = 1;
-  if (options_.min_parallel_candidates < 2) options_.min_parallel_candidates = 2;
-}
+BoundSetSearch::BoundSetSearch(bdd::Manager& mgr)
+    : mgr_(mgr), memo_(new Memo) {}
 
 BoundSetSearch::~BoundSetSearch() = default;
 
 std::size_t BoundSetSearch::memo_size() const { return memo_->table.size(); }
 
-void BoundSetSearch::clear_memo() {
-  memo_->table.clear();
-  snapshots_.clear();
-  snapshot_source_ = IsfBdd{};
-}
-
-void BoundSetSearch::ensure_snapshots(const IsfBdd& f) {
-  if (snapshot_source_.on == f.on && snapshot_source_.dc == f.dc &&
-      static_cast<int>(snapshots_.size()) >= options_.threads) {
-    return;
-  }
-  snapshots_.clear();
-  std::vector<int> identity(static_cast<std::size_t>(mgr_.num_vars()));
-  for (std::size_t i = 0; i < identity.size(); ++i) {
-    identity[i] = static_cast<int>(i);
-  }
-  snapshots_.reserve(static_cast<std::size_t>(options_.threads));
-  for (int t = 0; t < options_.threads; ++t) {
-    auto snap = std::make_unique<Snapshot>();
-    snap->mgr = std::make_unique<bdd::Manager>(mgr_.num_vars());
-    snap->f.on = bdd::transfer(f.on, *snap->mgr, identity);
-    snap->f.dc = bdd::transfer(f.dc, *snap->mgr, identity);
-    snapshots_.push_back(std::move(snap));
-  }
-  snapshot_source_ = f;
-}
-
-std::pair<int, int> BoundSetSearch::grow_step(
-    const IsfBdd& f, const std::vector<int>& support,
-    const std::vector<int>& bound, const std::vector<int>& pool,
-    const VarPartitionOptions& options) {
+int BoundSetSearch::grow_step(const IsfBdd& f, const std::vector<int>& support,
+                              const std::vector<int>& bound,
+                              const std::vector<int>& pool) {
   // Free set shared by every candidate this step: support minus the bound
   // prefix, via a membership mask instead of a per-variable std::find scan.
   std::vector<char> in_bound(static_cast<std::size_t>(mgr_.num_vars()), 0);
@@ -146,207 +83,40 @@ std::pair<int, int> BoundSetSearch::grow_step(
     if (!in_bound[static_cast<std::size_t>(v)]) free_base.push_back(v);
   }
 
-  struct Candidate {
-    int var = -1;
-    int cost = -1;       ///< exact column count once known
-    bool exact = false;  ///< cost is exact (memo hit or evaluated)
-    bool pruned = false;
-    int memo_lb = 0;  ///< lower bound from a pruned memo entry, 0 if none
-    std::vector<int> sorted_bound;  ///< bound ∪ {var}, sorted (memo key)
-  };
-  std::vector<Candidate> candidates(pool.size());
-
-  // Pre-pass on the calling thread: resolve memo hits, establish the
-  // initial pruning incumbent from exact entries.
-  int incumbent = INT_MAX;
-  const bool use_memo = options_.use_memo && options.use_cut_method;
-  for (std::size_t i = 0; i < pool.size(); ++i) {
-    Candidate& c = candidates[i];
-    c.var = pool[i];
-    c.sorted_bound = bound;
-    c.sorted_bound.push_back(c.var);
-    std::sort(c.sorted_bound.begin(), c.sorted_bound.end());
-    if (!use_memo) continue;
-    Memo::Key key{f.on.id(), f.dc.id(), c.sorted_bound};
-    auto it = memo_->table.find(key);
-    if (it == memo_->table.end()) continue;
-    if (it->second.lower_bound) {
-      c.memo_lb = it->second.count;
-    } else {
-      c.cost = it->second.count;
-      c.exact = true;
-      ++stats_.memo_hits;
-      incumbent = std::min(incumbent, c.cost);
-    }
+  if (memo_->table.size() + pool.size() > kMemoCapacity) {
+    memo_->table.clear();
+    ++stats_.memo_clears;
   }
 
-  // A memo lower bound that already exceeds an exact incumbent proves the
-  // candidate cannot win (cost >= lb > incumbent rules out even the
-  // tie-break), so it is pruned without touching a chart.
-  const bool use_pruning = options_.use_pruning && options.use_cut_method;
-  std::vector<std::size_t> misses;
-  misses.reserve(pool.size());
-  for (std::size_t i = 0; i < pool.size(); ++i) {
-    Candidate& c = candidates[i];
-    if (c.exact) continue;
-    if (use_pruning && incumbent != INT_MAX && c.memo_lb > incumbent) {
-      c.pruned = true;
-      c.cost = c.memo_lb;
-      ++stats_.candidates_pruned;
-      continue;
-    }
-    misses.push_back(i);
-  }
-
-  auto make_spec = [&](bdd::Manager& m, const IsfBdd& func,
-                       const Candidate& c) {
-    DecompSpec spec;
-    spec.mgr = &m;
-    spec.f = func;
-    spec.bound = c.sorted_bound;
-    spec.free.reserve(free_base.size());
-    for (int v : free_base) {
-      if (v != c.var) spec.free.push_back(v);
-    }
-    return spec;
-  };
-
-  const bool parallel =
-      options_.threads > 1 && options.use_cut_method &&
-      static_cast<int>(misses.size()) >= options_.min_parallel_candidates;
-
-  if (parallel) {
-    ensure_snapshots(f);
-    if (pool_ == nullptr) {
-      pool_ = std::make_unique<runtime::JobScheduler>(options_.threads);
-    }
-    // The shared incumbent is a hint, not the answer: workers prune against
-    // whatever value they observe, and every surviving count is exact, so
-    // the reduction below is schedule-independent.
-    std::atomic<int> shared_incumbent{incumbent};
-    std::vector<BoundedCount> results(misses.size());
-    std::vector<char> failed(misses.size(), 0);
-    std::mutex snapshot_mu;
-    std::vector<Snapshot*> idle;
-    idle.reserve(snapshots_.size());
-    for (auto& snap : snapshots_) idle.push_back(snap.get());
-
-    for (std::size_t j = 0; j < misses.size(); ++j) {
-      const Candidate& c = candidates[misses[j]];
-      pool_->submit([&, j, &c = c]() {
-        Snapshot* snap = nullptr;
-        {
-          std::lock_guard<std::mutex> lock(snapshot_mu);
-          assert(!idle.empty());  // jobs in flight <= workers == snapshots
-          snap = idle.back();
-          idle.pop_back();
-        }
-        try {
-          const DecompSpec spec = make_spec(*snap->mgr, snap->f, c);
-          const int threshold =
-              use_pruning ? shared_incumbent.load(std::memory_order_relaxed)
-                          : INT_MAX;
-          results[j] = count_columns_bounded(
-              spec, threshold == INT_MAX ? 0 : threshold);
-          if (!results[j].pruned) {
-            publish_incumbent(shared_incumbent, results[j].count);
-          }
-        } catch (...) {
-          failed[j] = 1;
-        }
-        std::lock_guard<std::mutex> lock(snapshot_mu);
-        idle.push_back(snap);
-      });
-    }
-    pool_->wait_idle();
-
-    for (std::size_t j = 0; j < misses.size(); ++j) {
-      Candidate& c = candidates[misses[j]];
-      if (failed[j]) {
-        // Deterministic fallback: evaluate on the caller's manager, exactly.
-        const DecompSpec spec = make_spec(mgr_, f, c);
-        results[j] = BoundedCount{count_columns_via_cut(spec), false};
-      }
-      ++stats_.candidates_evaluated;
-      c.cost = results[j].count;
-      if (results[j].pruned) {
-        c.pruned = true;
-        ++stats_.candidates_pruned;
-      } else {
-        c.exact = true;
-      }
-    }
-  } else {
-    // Serial sweep with a running incumbent: later candidates prune against
-    // the best exact cost seen so far.
-    for (std::size_t j = 0; j < misses.size(); ++j) {
-      Candidate& c = candidates[misses[j]];
-      const DecompSpec spec = make_spec(mgr_, f, c);
-      ++stats_.candidates_evaluated;
-      if (!options.use_cut_method) {
-        c.cost = count_columns(spec);
-        c.exact = true;
-        continue;
-      }
-      const int threshold =
-          (use_pruning && incumbent != INT_MAX) ? incumbent : 0;
-      const BoundedCount bc = count_columns_bounded(spec, threshold);
-      c.cost = bc.count;
-      if (bc.pruned) {
-        c.pruned = true;
-        ++stats_.candidates_pruned;
-      } else {
-        c.exact = true;
-        incumbent = std::min(incumbent, c.cost);
-      }
-    }
-  }
-
-  // Reduction in candidate index order. Only exact candidates compete; a
-  // pruned candidate's true cost strictly exceeds some exact cost, so it
-  // can never be the (min cost, min var) winner.
   int best_var = -1;
   int best_cost = -1;
-  for (const Candidate& c : candidates) {
-    if (!c.exact) continue;
-    if (better_candidate(c.cost, c.var, best_cost, best_var)) {
-      best_var = c.var;
-      best_cost = c.cost;
-    }
-  }
-  assert(best_var >= 0);  // the step winner is never pruned
-
-  // Memo update after the reduction, so recorded bounds are deterministic:
-  // exact counts as-is; pruned candidates get step_best + 1, valid because
-  // a pruned cost strictly exceeds a threshold that was itself an exact
-  // cost >= step_best.
-  if (use_memo) {
-    if (memo_->table.size() + candidates.size() > options_.memo_capacity) {
-      memo_->table.clear();
-      ++stats_.memo_clears;
-    }
-    for (Candidate& c : candidates) {
-      if (!c.exact && !c.pruned) continue;
-      Memo::Key key{f.on.id(), f.dc.id(), std::move(c.sorted_bound)};
-      auto [it, inserted] = memo_->table.try_emplace(key);
-      Memo::Entry& entry = it->second;
-      if (inserted) {
-        entry.on = f.on;
-        entry.dc = f.dc;
-        entry.count = c.exact ? c.cost : best_cost + 1;
-        entry.lower_bound = !c.exact;
-      } else if (entry.lower_bound) {
-        if (c.exact) {
-          entry.count = c.cost;
-          entry.lower_bound = false;
-        } else {
-          entry.count = std::max(entry.count, best_cost + 1);
-        }
+  for (int var : pool) {
+    Memo::Key key{f.on.id(), f.dc.id(), bound};
+    key.bound.push_back(var);
+    std::sort(key.bound.begin(), key.bound.end());
+    int cost = 0;
+    if (const auto it = memo_->table.find(key); it != memo_->table.end()) {
+      cost = it->second.count;
+      ++stats_.memo_hits;
+    } else {
+      DecompSpec spec;
+      spec.mgr = &mgr_;
+      spec.f = f;
+      spec.bound = key.bound;
+      spec.free.reserve(free_base.size());
+      for (int v : free_base) {
+        if (v != var) spec.free.push_back(v);
       }
+      cost = count_columns_via_cut(spec);
+      ++stats_.candidates_evaluated;
+      memo_->table.emplace(std::move(key), Memo::Entry{f.on, f.dc, cost});
+    }
+    if (better_candidate(cost, var, best_cost, best_var)) {
+      best_var = var;
+      best_cost = cost;
     }
   }
-
-  return {best_var, best_cost};
+  return best_var;
 }
 
 VarPartitionResult BoundSetSearch::select(const IsfBdd& f,
@@ -355,12 +125,11 @@ VarPartitionResult BoundSetSearch::select(const IsfBdd& f,
   const auto start = std::chrono::steady_clock::now();
   ++stats_.selects;
 
-  // hyde-reorder-scope: the memo keys on raw node ids of mgr_ and the
-  // snapshots copy its current DAG shape; both are valid only within one
-  // reorder epoch of the source manager.
+  // hyde-reorder-scope: the memo keys on raw node ids of mgr_, valid only
+  // within one reorder epoch of the manager.
   if (mgr_.reorder_epoch() != observed_epoch_) {
     if (!memo_->table.empty()) ++stats_.memo_clears;
-    clear_memo();
+    memo_->table.clear();
     observed_epoch_ = mgr_.reorder_epoch();
   }
 
@@ -392,9 +161,7 @@ VarPartitionResult BoundSetSearch::select(const IsfBdd& f,
   while (static_cast<int>(bound.size()) < options.bound_size) {
     std::vector<int>& pool = !preferred.empty() ? preferred : avoided;
     if (pool.empty()) break;
-    const auto [best_var, best_cost] =
-        grow_step(f, support, bound, pool, options);
-    (void)best_cost;
+    const int best_var = grow_step(f, support, bound, pool);
     bound.push_back(best_var);
     pool.erase(std::find(pool.begin(), pool.end(), best_var));
   }

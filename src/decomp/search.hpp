@@ -1,36 +1,26 @@
 /// \file search.hpp
-/// \brief Intra-flow bound-set search engine: memoized, pruned, optionally
-/// parallel evaluation of candidate λ-sets.
+/// \brief Intra-flow bound-set search engine: the greedy λ-set selection of
+/// varpart.hpp behind a chart memo that spans a flow's repeated searches.
 ///
 /// `select_bound_set` (varpart.hpp) greedily grows a bound set, evaluating
 /// O(|support| × bound_size) candidate charts per decomposition step — and
 /// the flow re-runs the *same* growth for every trial bound size and every
-/// encoder trial image. The engine closes three gaps while staying
-/// bit-identical to the plain greedy search:
+/// encoder trial image. The engine memoizes column counts per (ISF roots,
+/// candidate bound set): re-searches at a smaller bound size replay the
+/// identical candidate sequence, so they resolve almost entirely out of the
+/// memo. Entries pin their root handles, which keeps node ids unique for the
+/// lifetime of the entry; the memo clears itself when it would outgrow
+/// kMemoCapacity entries and whenever the manager reorders.
 ///
-///  1. **Chart memo** — column counts are memoized per (ISF roots, candidate
-///     bound set). Re-searches at a smaller bound size replay the identical
-///     candidate sequence, so they resolve almost entirely out of the memo.
-///     Entries pin their root handles, which keeps node ids unique for the
-///     lifetime of the entry; the memo clears itself when it outgrows its
-///     capacity.
-///  2. **Monotone lower-bound pruning** — the cut traversal only ever
-///     *discovers* columns, so a partial count is a lower bound on the true
-///     count. A candidate whose partial count exceeds the incumbent best is
-///     abandoned mid-enumeration (`count_columns_bounded`); the winner is
-///     never pruned, so results are unchanged.
-///  3. **Parallel candidate evaluation** — un-memoized candidates of one
-///     greedy step are evaluated concurrently on a `runtime::JobScheduler`,
-///     each worker reading a private snapshot manager populated up front via
-///     `bdd::transfer` (the shared source manager is never touched inside a
-///     job). Results are reduced in candidate index order, so the selected
-///     bound set is independent of completion order and thread count.
+/// The engine is serial: one engine per flow, called from that flow's thread.
+/// Parallelism lives at the job and window level only (`runtime::run_batch`,
+/// `part::run_windowed_flow`); docs/PERF.md records the measurements behind
+/// that rule.
 ///
 /// Determinism contract: for a fixed (f, support, options) the returned
-/// `VarPartitionResult` is bit-identical across every (memo, pruning,
-/// threads) configuration, including the legacy serial path. The volatile
-/// counters (`SearchStats`) may differ — pruning depth depends on evaluation
-/// order — and are reported only in volatile report sections.
+/// `VarPartitionResult` is bit-identical to the one-shot `select_bound_set`,
+/// whatever the memo holds. The counters (`SearchStats`) follow the memo's
+/// contents and are reported only in volatile report sections.
 
 #pragma once
 
@@ -41,94 +31,56 @@
 
 #include "decomp/varpart.hpp"
 
-namespace hyde::runtime {
-class JobScheduler;
-}  // namespace hyde::runtime
-
 namespace hyde::decomp {
 
-/// Engine configuration. All knobs are result-neutral: they change how fast
-/// the answer arrives, never which answer arrives.
-struct SearchOptions {
-  /// Candidate-evaluation threads; 1 evaluates serially on the caller's
-  /// thread. Workers are spawned lazily on the first parallel sweep.
-  int threads = 1;
-  bool use_memo = true;
-  bool use_pruning = true;
-  /// Memo entry cap; the memo clears itself when it would exceed this.
-  std::size_t memo_capacity = std::size_t{1} << 14;
-  /// Minimum number of un-memoized candidates in one sweep before thread
-  /// dispatch is worth the snapshot/queueing overhead.
-  int min_parallel_candidates = 4;
-};
-
-/// Engine counters, accumulated across select() calls. `seconds` and
-/// `candidates_evaluated` follow the work actually performed; in parallel
-/// mode `candidates_pruned` depends on completion order (the incumbent a
-/// worker prunes against moves with scheduling), so treat every field as
-/// volatile for report purposes.
+/// Engine counters, accumulated across select() calls. Volatile for report
+/// purposes: memo hits depend on what earlier selects left in the memo.
 struct SearchStats {
   std::uint64_t selects = 0;               ///< select() invocations
   std::uint64_t candidates_evaluated = 0;  ///< charts actually traversed
-  std::uint64_t candidates_pruned = 0;     ///< abandoned early (incl. by memo bound)
-  std::uint64_t memo_hits = 0;             ///< exact counts served from the memo
-  std::uint64_t memo_clears = 0;           ///< capacity resets
+  std::uint64_t memo_hits = 0;             ///< counts served from the memo
+  std::uint64_t memo_clears = 0;           ///< capacity and reorder resets
   double seconds = 0.0;                    ///< wall-clock inside select()
 };
 
-/// Bound-set search engine over one BDD manager. Not thread-safe itself:
-/// one engine per flow/Decomposer, called from that flow's thread only (the
-/// engine owns whatever worker threads it needs internally).
+/// Bound-set search engine over one BDD manager. Not thread-safe: one engine
+/// per flow/Decomposer, called from that flow's thread only.
 class BoundSetSearch {
  public:
-  explicit BoundSetSearch(bdd::Manager& mgr, const SearchOptions& options = {});
+  /// Memo entry cap; the memo clears itself when a greedy step would take it
+  /// past this.
+  static constexpr std::size_t kMemoCapacity = std::size_t{1} << 14;
+
+  explicit BoundSetSearch(bdd::Manager& mgr);
   ~BoundSetSearch();
 
   BoundSetSearch(const BoundSetSearch&) = delete;
   BoundSetSearch& operator=(const BoundSetSearch&) = delete;
 
   /// Drop-in replacement for select_bound_set: same greedy growth, same
-  /// tie-breaks, same result — served through the memo/pruning/parallel
-  /// machinery. The recursive-reference path (options.use_cut_method ==
-  /// false) is evaluated serially and unmemoized for fidelity with the
-  /// cross-check tests.
+  /// tie-breaks, same result — with column counts served from the memo.
   VarPartitionResult select(const IsfBdd& f, const std::vector<int>& support,
                             const VarPartitionOptions& options);
 
   const SearchStats& stats() const { return stats_; }
-  const SearchOptions& options() const { return options_; }
   std::size_t memo_size() const;
-  void clear_memo();
 
  private:
   struct Memo;
-  struct Snapshot;
 
   /// One greedy step: picks the pool variable minimizing the column count of
-  /// bound ∪ {v} (ties to the smallest variable). Returns the winning
-  /// variable and its exact cost.
-  std::pair<int, int> grow_step(const IsfBdd& f,
-                                const std::vector<int>& support,
-                                const std::vector<int>& bound,
-                                const std::vector<int>& pool,
-                                const VarPartitionOptions& options);
-
-  /// Per-thread read-only copies of f, built on the caller's thread.
-  void ensure_snapshots(const IsfBdd& f);
+  /// bound ∪ {v} (ties to the smallest variable) and returns it.
+  int grow_step(const IsfBdd& f, const std::vector<int>& support,
+                const std::vector<int>& bound, const std::vector<int>& pool);
 
   bdd::Manager& mgr_;
-  SearchOptions options_;
   SearchStats stats_;
-  /// Reorder epoch of mgr_ the memo and snapshots were built against. Memo
-  /// entries pin their roots (ids stay unique) and column counts are
-  /// order-invariant, but the epoch contract is observed anyway: a reorder
-  /// flushes everything, so a stale hit is impossible by construction.
+  /// Reorder epoch of mgr_ the memo was built against. Memo entries pin
+  /// their roots (ids stay unique) and column counts are order-invariant,
+  /// but the epoch contract is observed anyway: a reorder flushes the memo,
+  /// so a stale hit is impossible by construction.
   std::uint64_t observed_epoch_ = 0;
   std::unique_ptr<Memo> memo_;
-  std::vector<std::unique_ptr<Snapshot>> snapshots_;
-  /// Pin the snapshot source so id equality implies function equality.
-  IsfBdd snapshot_source_;
-  std::unique_ptr<runtime::JobScheduler> pool_;
 };
 
 }  // namespace hyde::decomp

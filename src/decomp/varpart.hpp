@@ -27,10 +27,6 @@ struct VarPartitionOptions {
   /// when impossible the result reports success=false.
   bool require_nontrivial = true;
   DcPolicy dc_policy = DcPolicy::kCliquePartition;
-  /// Evaluate candidate bound sets with the O(|BDD|) cut method of [2]
-  /// instead of 2^|bound| cofactor enumeration. Same counts, different cost
-  /// profile; on by default — disable to exercise the recursive reference.
-  bool use_cut_method = true;
 };
 
 struct VarPartitionResult {

@@ -71,10 +71,9 @@ bool deserialize_job_outcome(const std::vector<std::uint8_t>& raw,
 }
 
 /// Digest of everything a job's deterministic outcome depends on: the input
-/// circuit's full BLIF text plus every result-affecting batch knob. Engine
-/// knobs with a result-identity contract (worker/search/encoder threads,
-/// class signatures, manager pool) are excluded — replaying across them is
-/// the point. Goes into the blob key, so a mismatch is a clean miss.
+/// circuit's full BLIF text plus every result-affecting batch knob. The
+/// worker count has a result-identity contract and is excluded — replaying
+/// across it is the point. Goes into the blob key, so a mismatch is a clean miss.
 std::uint64_t job_fingerprint(const BatchJob& job, const BatchOptions& options,
                               const std::string& blif_text) {
   std::uint64_t h = store::fnv1a_bytes(
@@ -147,20 +146,12 @@ RunReport run_batch(const std::vector<BatchJob>& jobs,
     tiered = std::make_unique<store::TieredCache>(&cache, disk_store.get());
     shared_cache = tiered.get();
   }
-  // One pool for the whole batch: managers warmed by any job are reused by
-  // whichever job acquires next. Outlives the scheduler block below, so
-  // every job has released its manager before the pool dies.
-  bdd::ManagerPool manager_pool;
-  bdd::ManagerPool* shared_pool =
-      options.manager_pool ? &manager_pool : nullptr;
-
   const auto start = std::chrono::steady_clock::now();
   {
     JobScheduler pool(report.workers);
     store::PersistentStore* job_store = disk_store.get();
     for (std::size_t i = 0; i < jobs.size(); ++i) {
-      pool.submit([&jobs, &report, &options, shared_cache, shared_pool,
-                   job_store, i] {
+      pool.submit([&jobs, &report, &options, shared_cache, job_store, i] {
         const BatchJob& job = jobs[i];
         JobReport& out = report.jobs[i];
         out.circuit = job.circuit;
@@ -191,9 +182,8 @@ RunReport run_batch(const std::vector<BatchJob>& jobs,
           }
           const baseline::BaselineResult result = baseline::run_system(
               input, job.system, job.k, options.verify_vectors, job.seed,
-              shared_cache, options.cache_max_support, options.search_threads,
-              options.encoder_threads, options.class_signatures,
-              options.reorder, options.reorder_max_growth, shared_pool);
+              shared_cache, options.cache_max_support, options.reorder,
+              options.reorder_max_growth);
           out.luts = result.luts;
           out.clbs = result.clbs;
           out.depth = result.depth;
@@ -232,12 +222,10 @@ RunReport run_batch(const std::vector<BatchJob>& jobs,
     }
     report.search.selects += job.stats.search_selects;
     report.search.candidates_evaluated += job.stats.search_candidates_evaluated;
-    report.search.candidates_pruned += job.stats.search_candidates_pruned;
     report.search.memo_hits += job.stats.search_memo_hits;
     report.search.memo_clears += job.stats.search_memo_clears;
     report.classes.signature_pairs += job.stats.class_signature_pairs;
     report.classes.bdd_pairs += job.stats.class_bdd_pairs;
-    report.classes.encoder_parallel_tasks += job.stats.encoder_parallel_tasks;
     report.windows.extracted +=
         static_cast<std::uint64_t>(job.stats.windows_extracted);
     report.windows.resynthesized +=

@@ -5,7 +5,8 @@
 /// job is an independent end-to-end flow (`baseline::run_system`): it builds
 /// its circuit, decomposes, maps and verifies on its worker thread with
 /// job-private state — one `bdd::Manager` per flow invocation, constructed on
-/// the thread that runs it. Jobs share exactly one mutable object, the
+/// the thread that runs it. Jobs are the batch's only unit of parallelism:
+/// each flow runs serially inside its job. Jobs share exactly one mutable object, the
 /// `NpnResultCache`, whose purity contract (core/decomp_cache.hpp) makes
 /// batch results bit-identical across worker counts and schedules for the
 /// same job list and seeds.
@@ -53,24 +54,11 @@ struct BatchOptions {
   /// On-disk byte budget applied at flush via LRU-by-generation eviction;
   /// 0 = unlimited.
   std::uint64_t cache_max_bytes = 0;
-  /// Intra-flow bound-set search threads per job (decomp/search.hpp).
-  /// Result-identical at any value; the default 1 avoids oversubscribing the
-  /// batch worker pool. Total threads ~= workers * search_threads.
-  int search_threads = 1;
-  /// Intra-flow encoder threads per job (core/encoder.hpp Step 4 / Step 8).
-  /// Result-identical at any value; same oversubscription caveat.
-  int encoder_threads = 1;
-  /// Packed-signature column-compatibility fast path (decomp/compatible.hpp).
-  /// Result-identical on and off.
-  bool class_signatures = true;
   /// Dynamic variable reordering inside each job's flow manager
   /// (docs/REORDER.md). Result-affecting — part of the NPN-cache
   /// fingerprint — but still bit-identical across worker counts.
   bdd::ReorderMode reorder = bdd::ReorderMode::kOff;
   double reorder_max_growth = 2.0;
-  /// Recycle warmed BDD managers across the batch's flow invocations through
-  /// one shared, mutex-protected pool (bdd/pool.hpp). Result-neutral.
-  bool manager_pool = false;
 };
 
 /// Number of workers to use when the caller has no preference: the hardware

@@ -66,8 +66,6 @@ std::string to_json(const RunReport& report, bool include_volatile) {
     out += "\"selects\": " + std::to_string(report.search.selects);
     out += ", \"candidates_evaluated\": " +
            std::to_string(report.search.candidates_evaluated);
-    out += ", \"candidates_pruned\": " +
-           std::to_string(report.search.candidates_pruned);
     out += ", \"memo_hits\": " + std::to_string(report.search.memo_hits);
     out += ", \"memo_clears\": " + std::to_string(report.search.memo_clears);
     out += "},\n";
@@ -75,8 +73,6 @@ std::string to_json(const RunReport& report, bool include_volatile) {
     out += "\"signature_pairs\": " +
            std::to_string(report.classes.signature_pairs);
     out += ", \"bdd_pairs\": " + std::to_string(report.classes.bdd_pairs);
-    out += ", \"encoder_parallel_tasks\": " +
-           std::to_string(report.classes.encoder_parallel_tasks);
     out += "},\n";
     out += "  \"windows\": {";
     out += "\"extracted\": " + std::to_string(report.windows.extracted);
@@ -194,8 +190,6 @@ std::string to_json(const RunReport& report, bool include_volatile) {
       out += "\"selects\": " + std::to_string(job.stats.search_selects);
       out += ", \"candidates_evaluated\": " +
              std::to_string(job.stats.search_candidates_evaluated);
-      out += ", \"candidates_pruned\": " +
-             std::to_string(job.stats.search_candidates_pruned);
       out += ", \"memo_hits\": " + std::to_string(job.stats.search_memo_hits);
       out += ", \"memo_clears\": " +
              std::to_string(job.stats.search_memo_clears);
@@ -204,8 +198,6 @@ std::string to_json(const RunReport& report, bool include_volatile) {
       out += "\"signature_pairs\": " +
              std::to_string(job.stats.class_signature_pairs);
       out += ", \"bdd_pairs\": " + std::to_string(job.stats.class_bdd_pairs);
-      out += ", \"encoder_parallel_tasks\": " +
-             std::to_string(job.stats.encoder_parallel_tasks);
       out += "}";
       out += ",\n      \"windows\": {";
       out += "\"extracted\": " + std::to_string(job.stats.windows_extracted);
@@ -270,9 +262,9 @@ std::string to_csv(const RunReport& report) {
       "encoder_random_kept,collapse_mode,cache_lookups,seconds,"
       "bdd_cache_hits,bdd_cache_misses,bdd_gc_runs,bdd_reorder_runs,"
       "bdd_peak_live_nodes,"
-      "search_selects,search_evaluated,search_pruned,search_memo_hits,"
+      "search_selects,search_evaluated,search_memo_hits,"
       "varpart_seconds,classes_seconds,encoding_seconds,mapping_seconds,"
-      "class_signature_pairs,class_bdd_pairs,encoder_parallel_tasks,"
+      "class_signature_pairs,class_bdd_pairs,"
       "windows_extracted,windows_resynthesized,windows_passthrough,"
       "windows_budget_fallbacks,windows_split,windows_verify_failures,"
       "windows_extract_parallel,window_steals,window_max_seconds,"
@@ -297,7 +289,6 @@ std::string to_csv(const RunReport& report) {
            std::to_string(job.stats.bdd_peak_live_nodes) + "," +
            std::to_string(job.stats.search_selects) + "," +
            std::to_string(job.stats.search_candidates_evaluated) + "," +
-           std::to_string(job.stats.search_candidates_pruned) + "," +
            std::to_string(job.stats.search_memo_hits) + "," +
            format_double(job.stats.varpart_seconds) + "," +
            format_double(job.stats.classes_seconds) + "," +
@@ -305,7 +296,6 @@ std::string to_csv(const RunReport& report) {
            format_double(job.stats.mapping_seconds) + "," +
            std::to_string(job.stats.class_signature_pairs) + "," +
            std::to_string(job.stats.class_bdd_pairs) + "," +
-           std::to_string(job.stats.encoder_parallel_tasks) + "," +
            std::to_string(job.stats.windows_extracted) + "," +
            std::to_string(job.stats.windows_resynthesized) + "," +
            std::to_string(job.stats.windows_passthrough) + "," +

@@ -109,23 +109,21 @@ struct BddKernelReport {
 };
 
 /// Aggregated bound-set search engine figures for the whole batch (all
-/// volatile: pruning depth and memo hit patterns move with evaluation order
-/// and thread count, even though the selected bound sets never do).
+/// volatile: memo hit patterns move with NPN-cache timing, even though the
+/// selected bound sets never do).
 struct SearchReport {
   std::uint64_t selects = 0;
   std::uint64_t candidates_evaluated = 0;
-  std::uint64_t candidates_pruned = 0;
   std::uint64_t memo_hits = 0;
   std::uint64_t memo_clears = 0;
 };
 
-/// Aggregated class-computation / encoder engine figures for the whole batch
-/// (all volatile: which fast path decided a column pair and how many encoder
-/// tasks hit worker threads depend on the engine knobs, never the results).
+/// Aggregated class-computation figures for the whole batch (volatile: they
+/// record which compatibility path decided each column pair, never anything
+/// the results depend on).
 struct ClassesReport {
   std::uint64_t signature_pairs = 0;
   std::uint64_t bdd_pairs = 0;
-  std::uint64_t encoder_parallel_tasks = 0;
 };
 
 /// Aggregated windowed-engine figures for the whole batch (reported in the

@@ -11,6 +11,7 @@
 #include <random>
 
 #include "decomp/chart.hpp"
+#include "oracle/chart_oracle.hpp"
 #include "tt/truth_table.hpp"
 
 namespace hyde::decomp {

@@ -1,8 +1,8 @@
 /// \file search_test.cpp
-/// \brief Bound-set search engine correctness: bounded (pruned) column
-/// counting against the recursive reference, and bit-identical selection
-/// across every engine configuration (memo on/off, pruning on/off, serial
-/// vs parallel) and against a verbatim copy of the historical greedy loop.
+/// \brief Bound-set search engine correctness: bit-identical selection
+/// against a verbatim copy of the historical greedy loop — counting columns
+/// with the cut method or with the recursive oracle — whatever the chart
+/// memo holds.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +13,7 @@
 #include "core/encoder.hpp"
 #include "decomp/search.hpp"
 #include "decomp/step.hpp"
+#include "oracle/chart_oracle.hpp"
 #include "tt/truth_table.hpp"
 
 namespace hyde::decomp {
@@ -29,11 +30,13 @@ Bdd random_bdd(Manager& mgr, int num_vars, std::mt19937_64& rng) {
 }
 
 /// Verbatim re-implementation of the historical select_bound_set greedy loop
-/// (pre-engine): evaluates every candidate from scratch with an exact count.
-/// The engine must reproduce this bit for bit in every configuration.
+/// (pre-engine): evaluates every candidate from scratch with an exact count,
+/// by the cut method or, with \p recursive, by the recursive-cofactor oracle.
+/// The engine must reproduce this bit for bit.
 VarPartitionResult legacy_select(Manager& mgr, const IsfBdd& f,
                                  const std::vector<int>& support,
-                                 const VarPartitionOptions& options) {
+                                 const VarPartitionOptions& options,
+                                 bool recursive = false) {
   VarPartitionResult result;
   if (options.bound_size <= 0 ||
       options.bound_size > static_cast<int>(support.size())) {
@@ -66,8 +69,8 @@ VarPartitionResult legacy_select(Manager& mgr, const IsfBdd& f,
           spec.free.push_back(s);
         }
       }
-      const int cost = options.use_cut_method ? count_columns_via_cut(spec)
-                                              : count_columns(spec);
+      const int cost = recursive ? count_columns_recursive(spec)
+                                 : count_columns_via_cut(spec);
       if (best_var < 0 || cost < best_cost ||
           (cost == best_cost && v < best_var)) {
         best_var = v;
@@ -106,60 +109,6 @@ void expect_same_result(const VarPartitionResult& a,
   EXPECT_EQ(a.num_classes, b.num_classes) << what;
 }
 
-TEST(BoundedCountTest, ExactWhenThresholdNotExceeded) {
-  std::mt19937_64 rng(61);
-  for (int trial = 0; trial < 25; ++trial) {
-    const int n = 4 + static_cast<int>(rng() % 5);  // 4..8 variables
-    Manager mgr(n);
-    const Bdd on = random_bdd(mgr, n, rng);
-    const Bdd dc = random_bdd(mgr, n, rng) & ~on;
-    const int bound_size = 1 + static_cast<int>(rng() % (n - 1));
-    DecompSpec spec;
-    spec.mgr = &mgr;
-    spec.f = IsfBdd{on, dc};
-    for (int v = 0; v < n; ++v) {
-      (v < bound_size ? spec.bound : spec.free).push_back(v);
-    }
-    const int exact = count_columns_recursive(spec);
-    // Unlimited and at-threshold counts are exact and unpruned.
-    const BoundedCount unlimited = count_columns_bounded(spec, 0);
-    EXPECT_FALSE(unlimited.pruned);
-    EXPECT_EQ(unlimited.count, exact);
-    const BoundedCount at = count_columns_bounded(spec, exact);
-    EXPECT_FALSE(at.pruned);
-    EXPECT_EQ(at.count, exact);
-    const BoundedCount above = count_columns_bounded(spec, exact + 3);
-    EXPECT_FALSE(above.pruned);
-    EXPECT_EQ(above.count, exact);
-  }
-}
-
-TEST(BoundedCountTest, PrunedCountIsALowerBoundPastTheThreshold) {
-  std::mt19937_64 rng(62);
-  int pruned_seen = 0;
-  for (int trial = 0; trial < 40; ++trial) {
-    const int n = 5 + static_cast<int>(rng() % 4);  // 5..8 variables
-    Manager mgr(n);
-    const Bdd on = random_bdd(mgr, n, rng);
-    const int bound_size = 2 + static_cast<int>(rng() % (n - 2));
-    DecompSpec spec;
-    spec.mgr = &mgr;
-    spec.f = IsfBdd{on, mgr.zero()};
-    for (int v = 0; v < n; ++v) {
-      (v < bound_size ? spec.bound : spec.free).push_back(v);
-    }
-    const int exact = count_columns_recursive(spec);
-    for (int threshold = 1; threshold < exact; ++threshold) {
-      const BoundedCount bc = count_columns_bounded(spec, threshold);
-      ASSERT_TRUE(bc.pruned) << "threshold " << threshold << " exact " << exact;
-      // The traversal stops right after proving the threshold is beaten.
-      EXPECT_EQ(bc.count, threshold + 1);
-      ++pruned_seen;
-    }
-  }
-  EXPECT_GT(pruned_seen, 0);  // the loop actually exercised pruning
-}
-
 TEST(BoundSetSearchTest, AllConfigurationsMatchTheLegacyGreedy) {
   std::mt19937_64 rng(63);
   for (int trial = 0; trial < 20; ++trial) {
@@ -179,28 +128,14 @@ TEST(BoundSetSearchTest, AllConfigurationsMatchTheLegacyGreedy) {
     const VarPartitionResult reference =
         legacy_select(mgr, f, support, options);
 
-    const SearchOptions configs[] = {
-        {.threads = 1, .use_memo = false, .use_pruning = false},
-        {.threads = 1, .use_memo = false, .use_pruning = true},
-        {.threads = 1, .use_memo = true, .use_pruning = false},
-        {.threads = 1, .use_memo = true, .use_pruning = true},
-        {.threads = 2, .use_memo = true, .use_pruning = true,
-         .min_parallel_candidates = 2},
-        {.threads = 4, .use_memo = false, .use_pruning = true,
-         .min_parallel_candidates = 2},
-    };
-    for (const SearchOptions& config : configs) {
-      BoundSetSearch engine(mgr, config);
-      expect_same_result(engine.select(f, support, options), reference,
-                         "single select");
-      // A second select over the same inputs must serve from the memo (when
-      // enabled) and still agree.
-      expect_same_result(engine.select(f, support, options), reference,
-                         "repeat select");
-      if (config.use_memo) {
-        EXPECT_GT(engine.stats().memo_hits, 0u);
-      }
-    }
+    // A fresh engine (empty memo) and a repeat select served from the memo
+    // must both agree with the legacy loop.
+    BoundSetSearch engine(mgr);
+    expect_same_result(engine.select(f, support, options), reference,
+                       "single select");
+    expect_same_result(engine.select(f, support, options), reference,
+                       "repeat select");
+    EXPECT_GT(engine.stats().memo_hits, 0u);
   }
 }
 
@@ -212,11 +147,11 @@ TEST(BoundSetSearchTest, RecursiveReferencePathMatchesLegacy) {
   const std::vector<int> support = mgr.support(on);
   VarPartitionOptions options;
   options.bound_size = 3;
-  options.use_cut_method = false;  // exercise the 2^|bound| reference
-  BoundSetSearch engine(mgr, SearchOptions{});
+  // The legacy loop counts every candidate with the 2^|bound| oracle.
+  BoundSetSearch engine(mgr);
   expect_same_result(engine.select(f, support, options),
-                     legacy_select(mgr, f, support, options), "recursive ref");
-  EXPECT_EQ(engine.memo_size(), 0u);  // the reference path is never memoized
+                     legacy_select(mgr, f, support, options, /*recursive=*/true),
+                     "recursive ref");
 }
 
 TEST(BoundSetSearchTest, ShrinkingBoundSizeReplaysThePrefixFromTheMemo) {
@@ -230,7 +165,7 @@ TEST(BoundSetSearchTest, ShrinkingBoundSizeReplaysThePrefixFromTheMemo) {
   const std::vector<int> support = mgr.support(on);
   ASSERT_GE(support.size(), 5u);
 
-  BoundSetSearch engine(mgr, SearchOptions{});
+  BoundSetSearch engine(mgr);
   VarPartitionOptions options;
   options.bound_size = 4;
   options.require_nontrivial = false;
@@ -247,23 +182,30 @@ TEST(BoundSetSearchTest, ShrinkingBoundSizeReplaysThePrefixFromTheMemo) {
 }
 
 TEST(BoundSetSearchTest, MemoClearsWhenOverCapacityAndStaysCorrect) {
+  // Fresh random functions keep adding memo entries until a greedy step
+  // would take the memo past kMemoCapacity, which forces a wholesale clear.
   std::mt19937_64 rng(66);
   Manager mgr(7);
-  SearchOptions config;
-  config.memo_capacity = 8;  // force clears on every sweep
-  BoundSetSearch engine(mgr, config);
-  for (int trial = 0; trial < 6; ++trial) {
+  BoundSetSearch engine(mgr);
+  VarPartitionOptions options;
+  options.bound_size = 3;
+  int checked_after_clear = 0;
+  for (int trial = 0; trial < 4000 && checked_after_clear < 3; ++trial) {
     const Bdd on = random_bdd(mgr, 7, rng);
     const IsfBdd f{on, mgr.zero()};
     const std::vector<int> support = mgr.support(on);
     if (static_cast<int>(support.size()) < 4) continue;
-    VarPartitionOptions options;
-    options.bound_size = 3;
-    expect_same_result(engine.select(f, support, options),
-                       legacy_select(mgr, f, support, options), "tiny memo");
-    EXPECT_LE(engine.memo_size(), config.memo_capacity);
+    const bool cleared = engine.stats().memo_clears > 0;
+    const VarPartitionResult got = engine.select(f, support, options);
+    EXPECT_LE(engine.memo_size(), BoundSetSearch::kMemoCapacity);
+    if (cleared || trial % 64 == 0) {
+      expect_same_result(got, legacy_select(mgr, f, support, options),
+                         "memo at capacity");
+      if (cleared) ++checked_after_clear;
+    }
   }
   EXPECT_GT(engine.stats().memo_clears, 0u);
+  EXPECT_EQ(checked_after_clear, 3);
 }
 
 TEST(BoundSetSearchTest, OversizeBoundThrowsLikeLegacy) {
@@ -273,7 +215,7 @@ TEST(BoundSetSearchTest, OversizeBoundThrowsLikeLegacy) {
   for (int v = 0; v < kMaxBoundVars + 2; ++v) support[v] = v;
   VarPartitionOptions options;
   options.bound_size = kMaxBoundVars + 1;
-  BoundSetSearch engine(mgr, SearchOptions{});
+  BoundSetSearch engine(mgr);
   EXPECT_THROW(engine.select(f, support, options), std::invalid_argument);
 }
 
@@ -307,8 +249,7 @@ TEST(BoundSetSearchTest, EncoderHookMatchesHookFreeEncoding) {
     const auto plain =
         core::encode_classes(mgr, classes, spec.free, alpha_vars, base);
 
-    BoundSetSearch engine(mgr, SearchOptions{.threads = 2,
-                                             .min_parallel_candidates = 2});
+    BoundSetSearch engine(mgr);
     core::EncoderOptions hooked = base;
     hooked.search = &engine;
     const auto via_engine =
@@ -323,7 +264,7 @@ TEST(BoundSetSearchTest, EncoderHookMatchesHookFreeEncoding) {
 }
 
 TEST(BoundSetSearchTest, WrapperSelectBoundSetStillMatchesLegacy) {
-  // The free function is now a thin wrapper over a serial engine; pin its
+  // The free function is a thin wrapper over a one-shot engine; pin its
   // behaviour to the reference too.
   std::mt19937_64 rng(68);
   for (int trial = 0; trial < 10; ++trial) {

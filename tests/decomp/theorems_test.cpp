@@ -7,6 +7,7 @@
 
 #include "decomp/compatible.hpp"
 #include "decomp/step.hpp"
+#include "oracle/chart_oracle.hpp"
 #include "tt/truth_table.hpp"
 
 namespace hyde::decomp {
