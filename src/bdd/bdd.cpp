@@ -15,7 +15,7 @@ namespace hyde::bdd {
 using namespace internal;
 
 namespace {
-constexpr std::size_t kCacheInitialEntries = std::size_t{1} << 12;
+constexpr std::size_t kCacheInitialEntries = std::size_t{1} << 8;
 constexpr std::size_t kCacheMinEntries = std::size_t{1} << 10;
 /// kAuto never fires below this many live nodes — reordering a tiny manager
 /// costs more than it can ever save.
@@ -356,9 +356,14 @@ void Manager::cache_insert(std::uint64_t a, std::uint64_t b,
   } else if (++inserts_since_grow_ > cache_.size() * 2 &&
              cache_.size() < cache_max_entries_) {
     // Sustained insert pressure: the working set outgrew the table. Doubling
-    // drops the current contents (the table is lossy anyway) but halves the
-    // future collision rate.
-    cache_.assign(cache_.size() * 2, CacheEntry{});
+    // halves the future collision rate; the current entries move over, so a
+    // table that starts small loses nothing by growing.
+    std::vector<CacheEntry> grown(cache_.size() * 2);
+    for (const CacheEntry& old : cache_) {
+      if (old.a == 0) continue;
+      grown[cache_hash(old.a, old.b) & (grown.size() - 1)] = old;
+    }
+    cache_.swap(grown);
     inserts_since_grow_ = 0;
   }
   CacheEntry& entry = cache_[cache_hash(a, b) & (cache_.size() - 1)];
@@ -838,21 +843,28 @@ Bdd Manager::permute(const Bdd& f, const std::vector<int>& perm) {
   return make_external(compose_rec(f.id_, map, compose_context(map)));
 }
 
-void Manager::support_rec(std::uint32_t f, std::vector<char>& seen,
-                          std::vector<char>& visited) {
-  if (f <= kOne || visited[f]) return;
-  visited[f] = 1;
+void Manager::support_rec(std::uint32_t f, std::vector<char>& seen) {
+  if (f <= kOne || support_marks_[f] == support_epoch_) return;
+  support_marks_[f] = support_epoch_;
   const Node& n = nodes_[f];
   seen[n.var] = 1;
-  support_rec(n.lo, seen, visited);
-  support_rec(n.hi, seen, visited);
+  support_rec(n.lo, seen);
+  support_rec(n.hi, seen);
 }
 
 std::vector<int> Manager::support(const Bdd& f) {
   check_owned(f);
   std::vector<char> seen(num_vars_, 0);
-  std::vector<char> visited(nodes_.size(), 0);
-  support_rec(f.id_, seen, visited);
+  // Marks only grow; a fresh epoch invalidates every earlier mark, so one
+  // call costs O(|f|) however large the store is.
+  if (support_marks_.size() < nodes_.size()) {
+    support_marks_.resize(nodes_.size(), 0);
+  }
+  if (++support_epoch_ == 0) {
+    std::fill(support_marks_.begin(), support_marks_.end(), 0);
+    support_epoch_ = 1;
+  }
+  support_rec(f.id_, seen);
   std::vector<int> vars;
   for (int v = 0; v < num_vars_; ++v) {
     if (seen[v]) vars.push_back(v);

@@ -402,8 +402,7 @@ class Manager {
   /// an id, so repeated vector_compose calls hit the cache).
   std::uint64_t compose_context(const std::vector<std::int64_t>& map);
 
-  void support_rec(std::uint32_t f, std::vector<char>& seen,
-                   std::vector<char>& visited);
+  void support_rec(std::uint32_t f, std::vector<char>& seen);
   double sat_count_rec(std::uint32_t f,
                        std::unordered_map<std::uint32_t, double>& memo);
 
@@ -449,6 +448,11 @@ class Manager {
   std::uint64_t cache_inserts_ = 0;
   std::uint64_t cache_overwrites_ = 0;
   std::uint64_t inserts_since_grow_ = 0;
+
+  // support() visit marks, indexed by node id: a node is visited in the
+  // current call iff its mark equals support_epoch_ (never 0).
+  std::vector<std::uint32_t> support_marks_;
+  std::uint32_t support_epoch_ = 0;
 
   // Compose-context registry for the current GC epoch.
   std::vector<std::vector<std::int64_t>> compose_maps_;

@@ -1,25 +1,66 @@
 #include "tt/npn.hpp"
 
-#include <algorithm>
+#include <array>
 #include <bit>
 #include <numeric>
 #include <stdexcept>
+#include <tuple>
+#include <utility>
 
 namespace hyde::tt {
 
 namespace {
 
-/// Lexicographic order on (onset, dcset) word arrays; any fixed total order
-/// works, this one keeps "fewer low-minterm ones" representatives.
-bool pair_less(const TruthTable& a_on, const TruthTable& a_dc,
-               const TruthTable& b_on, const TruthTable& b_dc) {
-  if (a_on != b_on) {
-    return std::lexicographical_compare(
-        a_on.words().begin(), a_on.words().end(), b_on.words().begin(),
-        b_on.words().end());
+/// A table over at most kMaxExactNpnVars = 7 variables: minterm m in bit
+/// m % 64 of word m / 64. Word 1 stays zero below 7 variables, and so do the
+/// bits of word 0 above minterm 2^n - 1.
+using Table = std::array<std::uint64_t, 2>;
+
+/// Substitutes !x_v for x_v in place (swaps the two cofactor halves).
+void flip_var(Table& t, int v) {
+  if (v == 6) {
+    std::swap(t[0], t[1]);
+    return;
   }
-  return std::lexicographical_compare(a_dc.words().begin(), a_dc.words().end(),
-                                      b_dc.words().begin(), b_dc.words().end());
+  const std::uint64_t hi = kVarMask[v];
+  const int shift = 1 << v;
+  for (std::uint64_t& w : t) w = ((w & hi) >> shift) | ((w & ~hi) << shift);
+}
+
+/// Exchanges variables a < b in place.
+void swap_vars(Table& t, int a, int b) {
+  const std::uint64_t in_a = kVarMask[a];
+  const int shift = 1 << a;
+  if (b == 6) {
+    // Word 0 holds x6 = 0 and word 1 holds x6 = 1: minterms with x_a = 1 in
+    // word 0 trade places with their x_a = 0 partners in word 1.
+    const std::uint64_t down = (t[0] & in_a) >> shift;
+    const std::uint64_t up = (t[1] & ~in_a) << shift;
+    t[0] = (t[0] & ~in_a) | up;
+    t[1] = (t[1] & in_a) | down;
+    return;
+  }
+  // Minterms with x_a = 1, x_b = 0 trade places with the minterm delta above.
+  const int delta = (1 << b) - shift;
+  const std::uint64_t mask = in_a & ~kVarMask[b];
+  for (std::uint64_t& w : t) {
+    const std::uint64_t x = (w ^ (w >> delta)) & mask;
+    w ^= x ^ (x << delta);
+  }
+}
+
+Table load(const TruthTable& t) {
+  Table w{};
+  for (std::size_t i = 0; i < t.words().size(); ++i) w[i] = t.words()[i];
+  return w;
+}
+
+TruthTable store(int n, const Table& t) {
+  TruthTable r(n);
+  for (std::uint64_t m = 0; m < r.size(); ++m) {
+    if ((t[m >> 6] >> (m & 63)) & 1) r.set_bit(m, true);
+  }
+  return r;
 }
 
 }  // namespace
@@ -34,40 +75,74 @@ NpnCanonization npn_canonize(const Isf& f) {
     throw std::invalid_argument("npn_canonize: inconsistent ISF");
   }
 
-  NpnCanonization best;
-  bool have_best = false;
+  // The offset complements within the 2^n minterms only.
+  const Table live = {n >= 6 ? ~std::uint64_t{0}
+                             : (std::uint64_t{1} << (1u << n)) - 1,
+                      n == 7 ? ~std::uint64_t{0} : 0};
 
-  std::vector<int> q(static_cast<std::size_t>(n));
-  std::iota(q.begin(), q.end(), 0);
+  // base holds g(y) = f(x) with x_{q[j]} = y_j for the current permutation q.
+  Table base_on = load(f.on);
+  Table base_dc = load(f.dc);
+  std::array<int, kMaxExactNpnVars> q{};
+  std::iota(q.begin(), q.begin() + n, 0);
+
+  // The first candidate (identity, no negation, onset) seeds the best; later
+  // candidates replace it only when strictly smaller in (onset, dcset)
+  // lexicographic word order, so the earliest minimum wins.
+  Table best_on = base_on;
+  Table best_dc = base_dc;
+  std::array<int, kMaxExactNpnVars> best_q = q;
+  std::uint32_t best_negations = 0;
+  bool best_output_negated = false;
+
   const std::uint32_t num_masks = std::uint32_t{1} << n;
-  do {
-    // g(y) = f(x) with x_{q[j]} = y_j: permute, then Gray-walk the negations
-    // so every step is a single cofactor-halves swap.
-    TruthTable cur_on = f.on.permute(q);
-    TruthTable cur_dc = f.dc.permute(q);
+  while (true) {
+    // Gray-walk the negations so every step is one cofactor-halves swap.
+    Table on = base_on;
+    Table dc = base_dc;
     std::uint32_t gray = 0;
     for (std::uint32_t idx = 0; idx < num_masks; ++idx) {
       if (idx != 0) {
         const int flipped = std::countr_zero(idx);
         gray ^= std::uint32_t{1} << flipped;
-        cur_on = cur_on.flip_var(flipped);
-        cur_dc = cur_dc.flip_var(flipped);
+        flip_var(on, flipped);
+        flip_var(dc, flipped);
       }
-      const TruthTable cur_off = ~(cur_on | cur_dc);
+      const Table off = {~(on[0] | dc[0]) & live[0],
+                         ~(on[1] | dc[1]) & live[1]};
       for (int o = 0; o < 2; ++o) {
-        const TruthTable& cand_on = o == 0 ? cur_on : cur_off;
-        if (have_best &&
-            !pair_less(cand_on, cur_dc, best.canonical.on, best.canonical.dc)) {
-          continue;
-        }
-        best.canonical = Isf{cand_on, cur_dc};
-        best.transform.perm = q;
-        best.transform.input_negations = gray;
-        best.transform.output_negated = o != 0;
-        have_best = true;
+        const Table& cand_on = o == 0 ? on : off;
+        if (std::tie(cand_on, dc) >= std::tie(best_on, best_dc)) continue;
+        best_on = cand_on;
+        best_dc = dc;
+        best_q = q;
+        best_negations = gray;
+        best_output_negated = o != 0;
       }
     }
-  } while (std::next_permutation(q.begin(), q.end()));
+
+    // std::next_permutation on q, mirrored on the tables as variable swaps:
+    // the pivot swap, then the suffix reversal.
+    int i = n - 2;
+    while (i >= 0 && q[i] > q[i + 1]) --i;
+    if (i < 0) break;
+    int j = n - 1;
+    while (q[j] < q[i]) --j;
+    std::swap(q[i], q[j]);
+    swap_vars(base_on, i, j);
+    swap_vars(base_dc, i, j);
+    for (int a = i + 1, b = n - 1; a < b; ++a, --b) {
+      std::swap(q[a], q[b]);
+      swap_vars(base_on, a, b);
+      swap_vars(base_dc, a, b);
+    }
+  }
+
+  NpnCanonization best;
+  best.canonical = Isf{store(n, best_on), store(n, best_dc)};
+  best.transform.perm.assign(best_q.begin(), best_q.begin() + n);
+  best.transform.input_negations = best_negations;
+  best.transform.output_negated = best_output_negated;
   return best;
 }
 

@@ -8,12 +8,14 @@
 /// runtime's decomposition cache (src/runtime/npn_cache) memoizes one
 /// decomposition per class and replays it for every class member.
 ///
-/// Canonicalization is exact (exhaustive over all n! * 2^n * 2 transforms,
-/// negations enumerated in Gray-code order so each candidate is one
-/// `flip_var` away from the previous one) and supported up to
-/// `kMaxExactNpnVars` variables. Incompletely specified functions are
-/// canonicalized as (onset, dcset) pairs: the input transform acts on both
-/// tables, output negation exchanges onset and offset and fixes the dcset.
+/// Canonicalization is exact (exhaustive over all n! * 2^n * 2 transforms)
+/// and supported up to `kMaxExactNpnVars` variables. The search runs on
+/// fixed two-word tables without allocating: permutations step in
+/// std::next_permutation order, each step applied as in-place variable
+/// swaps, and negations in Gray-code order, each one cofactor-halves swap.
+/// Incompletely specified functions are canonicalized as (onset, dcset)
+/// pairs: the input transform acts on both tables, output negation exchanges
+/// onset and offset and fixes the dcset.
 
 #pragma once
 
@@ -25,8 +27,8 @@
 namespace hyde::tt {
 
 /// Largest variable count `npn_canonize` handles exactly. 7 variables is
-/// 5040 * 128 * 2 candidates with two-word tables — still well under a
-/// millisecond-scale budget per call.
+/// 5040 * 128 * 2 candidates over two-word tables: about 4 ms per call at 7
+/// variables and 0.5 ms at 6 (4-CPU x86-64, g++ 12.2 -O3).
 inline constexpr int kMaxExactNpnVars = 7;
 
 /// The transform linking a function to its canonical representative g:
@@ -51,7 +53,10 @@ struct NpnCanonization {
 
 /// Exact NPN canonicalization of an incompletely specified function. Every
 /// member of an NPN class (with dcsets transformed alongside) yields the
-/// same `canonical`. Throws std::invalid_argument above kMaxExactNpnVars.
+/// same `canonical`. The representative is the least (onset, dcset) pair in
+/// lexicographic word order; among transforms reaching it, the first in
+/// enumeration order (permutation, then Gray index, onset before offset)
+/// is returned. Throws std::invalid_argument above kMaxExactNpnVars.
 NpnCanonization npn_canonize(const Isf& f);
 
 /// Completely specified convenience overload (empty dcset).

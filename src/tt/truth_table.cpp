@@ -12,12 +12,6 @@ std::size_t word_count(int num_vars) {
   return static_cast<std::size_t>((bits + 63) / 64);
 }
 
-// Repeating masks of variable i within one 64-bit word, for i < 6:
-// bit m of kVarMask[i] is (m >> i) & 1.
-constexpr std::uint64_t kVarMask[6] = {
-    0xAAAAAAAAAAAAAAAAull, 0xCCCCCCCCCCCCCCCCull, 0xF0F0F0F0F0F0F0F0ull,
-    0xFF00FF00FF00FF00ull, 0xFFFF0000FFFF0000ull, 0xFFFFFFFF00000000ull};
-
 }  // namespace
 
 TruthTable::TruthTable(int num_vars) : num_vars_(num_vars) {

@@ -20,6 +20,12 @@
 
 namespace hyde::tt {
 
+/// Repeating masks of variable v < 6 within one 64-bit table word: bit m of
+/// kVarMask[v] is (m >> v) & 1.
+inline constexpr std::uint64_t kVarMask[6] = {
+    0xAAAAAAAAAAAAAAAAull, 0xCCCCCCCCCCCCCCCCull, 0xF0F0F0F0F0F0F0F0ull,
+    0xFF00FF00FF00FF00ull, 0xFFFF0000FFFF0000ull, 0xFFFFFFFF00000000ull};
+
 /// Completely specified Boolean function over a fixed number of variables.
 ///
 /// All bitwise operators act pointwise on the function table and require both

@@ -146,6 +146,57 @@ TEST(Bdd, SupportComputation) {
   EXPECT_TRUE(mgr.support(mgr.one()).empty());
 }
 
+/// Support by brute force: f depends on v iff its two cofactors differ.
+std::vector<int> support_by_cofactors(Manager& mgr, const Bdd& f) {
+  std::vector<int> vars;
+  for (int v = 0; v < mgr.num_vars(); ++v) {
+    if (mgr.cofactor(f, v, false) != mgr.cofactor(f, v, true)) {
+      vars.push_back(v);
+    }
+  }
+  return vars;
+}
+
+TEST(Bdd, SupportOfSmallFunctionsInALargeManager) {
+  // support() reuses its visit marks across calls; node ids freed by GC and
+  // renumbered levels after a reorder must not leak stale marks.
+  constexpr int kVars = 20;
+  Manager mgr(kVars);
+  std::mt19937_64 rng(17);
+  const auto build_large = [&] {
+    Bdd big = mgr.zero();
+    for (int i = 0; i < kVars; ++i) {
+      big = big ^ (mgr.var(i) & mgr.var((i * 7 + 3) % kVars));
+    }
+    return big;
+  };
+  const auto check_small_functions = [&](int round) {
+    for (int trial = 0; trial < 40; ++trial) {
+      const int a = static_cast<int>(rng() % kVars);
+      const int b = static_cast<int>(rng() % kVars);
+      const int c = static_cast<int>(rng() % kVars);
+      const Bdd f = (mgr.var(a) & ~mgr.var(b)) ^ mgr.var(c);
+      EXPECT_EQ(mgr.support(f), support_by_cofactors(mgr, f))
+          << "round=" << round << " a=" << a << " b=" << b << " c=" << c;
+    }
+  };
+
+  Bdd big = build_large();
+  ASSERT_GT(mgr.store_size(), 1000u);
+  check_small_functions(0);
+  EXPECT_EQ(mgr.support(big), support_by_cofactors(mgr, big));
+
+  big = mgr.zero();
+  mgr.collect_garbage();
+  check_small_functions(1);
+
+  big = build_large();
+  mgr.reorder_sift();
+  EXPECT_GE(mgr.reorder_runs(), 1);
+  check_small_functions(2);
+  EXPECT_EQ(mgr.support(big), support_by_cofactors(mgr, big));
+}
+
 TEST(Bdd, SatCount) {
   Manager mgr(10);
   const Bdd f = mgr.var(0) & mgr.var(1);  // quarter of the space

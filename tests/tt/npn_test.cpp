@@ -7,7 +7,11 @@
 ///  - soundness: npn_apply(canonical, transform) recovers the original, so
 ///    the representative really is NPN-equivalent to the input;
 ///  - separation: distinct classes never collide — the exhaustive 4-input
-///    sweep must produce exactly the 222 known NPN classes.
+///    sweep must produce exactly the 222 known NPN classes;
+///  - identity with the reference search (tests/oracle/npn_oracle): the
+///    word-table kernel returns the same canonical form *and* the same
+///    transform, so cache keys and template replay never change;
+///  - reentrancy: concurrent calls, as the batch workers make, agree.
 
 #include "tt/npn.hpp"
 
@@ -17,8 +21,11 @@
 #include <random>
 #include <set>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "gtest/gtest.h"
+#include "oracle/npn_oracle.hpp"
 #include "tt/truth_table.hpp"
 
 namespace hyde::tt {
@@ -46,7 +53,7 @@ TruthTable transform_table(const TruthTable& f, const std::vector<int>& perm,
 
 TEST(NpnTest, CanonicalFormInvariantUnderRandomTransforms) {
   std::mt19937_64 rng(20260806);
-  for (int n = 3; n <= 6; ++n) {
+  for (int n = 3; n <= kMaxExactNpnVars; ++n) {
     for (int trial = 0; trial < 20; ++trial) {
       const TruthTable f = random_table(n, rng);
       const NpnCanonization base = npn_canonize(f);
@@ -68,7 +75,7 @@ TEST(NpnTest, CanonicalFormInvariantUnderRandomTransforms) {
 
 TEST(NpnTest, ApplyRecoversOriginal) {
   std::mt19937_64 rng(4242);
-  for (int n = 1; n <= 6; ++n) {
+  for (int n = 1; n <= kMaxExactNpnVars; ++n) {
     for (int trial = 0; trial < 20; ++trial) {
       const TruthTable f = random_table(n, rng);
       const NpnCanonization canon = npn_canonize(f);
@@ -81,7 +88,7 @@ TEST(NpnTest, ApplyRecoversOriginal) {
 
 TEST(NpnTest, IsfCanonicalFormInvariantAndRecoverable) {
   std::mt19937_64 rng(777);
-  for (int n = 3; n <= 5; ++n) {
+  for (int n = 3; n <= kMaxExactNpnVars; ++n) {
     for (int trial = 0; trial < 15; ++trial) {
       // Random consistent ISF: carve a dcset out of the complement of on.
       const TruthTable on = random_table(n, rng);
@@ -145,6 +152,121 @@ TEST(NpnTest, SmallCasesAndErrors) {
   // Inconsistent ISF (overlapping onset/dcset) is rejected.
   EXPECT_THROW(npn_canonize(Isf{TruthTable::ones(2), TruthTable::ones(2)}),
                std::invalid_argument);
+}
+
+/// Random consistent ISF with about half the minterms in the onset and a
+/// quarter in the dcset.
+Isf random_isf(int n, std::mt19937_64& rng) {
+  const TruthTable on = random_table(n, rng);
+  return Isf{on, random_table(n, rng) & ~on};
+}
+
+/// DC-heavy ISF: a sparse onset (~1/4) and most of the rest don't-care.
+Isf dc_heavy_isf(int n, std::mt19937_64& rng) {
+  const TruthTable on = random_table(n, rng) & random_table(n, rng);
+  return Isf{on, (random_table(n, rng) | random_table(n, rng)) & ~on};
+}
+
+/// Totally symmetric ISF: every input weight is on, off or don't-care as a
+/// whole, so many transforms tie for the minimum.
+Isf symmetric_isf(int n, std::mt19937_64& rng) {
+  std::vector<int> on_weights, dc_weights;
+  for (int w = 0; w <= n; ++w) {
+    switch (rng() % 3) {
+      case 0: on_weights.push_back(w); break;
+      case 1: dc_weights.push_back(w); break;
+      default: break;
+    }
+  }
+  return Isf{TruthTable::symmetric(n, on_weights),
+             TruthTable::symmetric(n, dc_weights)};
+}
+
+void expect_same(const NpnCanonization& got, const NpnCanonization& want,
+                 const std::string& what) {
+  EXPECT_EQ(got.canonical, want.canonical) << what;
+  EXPECT_EQ(got.transform.perm, want.transform.perm) << what;
+  EXPECT_EQ(got.transform.input_negations, want.transform.input_negations)
+      << what;
+  EXPECT_EQ(got.transform.output_negated, want.transform.output_negated)
+      << what;
+}
+
+void expect_matches_oracle(const Isf& f) {
+  expect_same(npn_canonize(f), npn_canonize_reference(f),
+              "n=" + std::to_string(f.num_vars()) + " on=" + f.on.to_bits() +
+                  " dc=" + f.dc.to_bits());
+}
+
+/// Checks `make(n, rng)` inputs for n = 0..7 against the oracle. The
+/// reference search costs ~0.15 s per call at 7 variables in an optimized
+/// build and seconds under sanitizers, so 7 variables get one trial.
+void check_against_oracle(std::uint64_t seed,
+                          Isf (*make)(int, std::mt19937_64&)) {
+  std::mt19937_64 rng(seed);
+  for (int n = 0; n <= kMaxExactNpnVars; ++n) {
+    const int trials = n == kMaxExactNpnVars ? 1 : 12;
+    for (int trial = 0; trial < trials; ++trial) {
+      expect_matches_oracle(make(n, rng));
+    }
+  }
+}
+
+TEST(NpnOracle, RandomIsfsMatchTheReferenceSearch) {
+  check_against_oracle(1301, [](int n, std::mt19937_64& rng) {
+    return Isf{random_table(n, rng)};
+  });
+  check_against_oracle(1302, random_isf);
+}
+
+TEST(NpnOracle, DcHeavyIsfsMatchTheReferenceSearch) {
+  check_against_oracle(1303, dc_heavy_isf);
+}
+
+TEST(NpnOracle, SymmetricIsfsMatchTheReferenceSearch) {
+  check_against_oracle(1304, symmetric_isf);
+}
+
+TEST(NpnOracle, ConstantsAndProjectionsMatchTheReferenceSearch) {
+  for (int n = 0; n < kMaxExactNpnVars; ++n) {
+    expect_matches_oracle(Isf{TruthTable::zeros(n)});
+    expect_matches_oracle(Isf{TruthTable::ones(n)});
+    expect_matches_oracle(Isf{TruthTable::zeros(n), TruthTable::ones(n)});
+    for (int v = 0; v < n; ++v) {
+      expect_matches_oracle(Isf{TruthTable::var(n, v)});
+    }
+  }
+}
+
+TEST(NpnTest, ConcurrentCallsAgree) {
+  std::mt19937_64 rng(1305);
+  std::vector<Isf> inputs;
+  for (int n = 4; n <= kMaxExactNpnVars; ++n) {
+    inputs.push_back(random_isf(n, rng));
+    inputs.push_back(dc_heavy_isf(n, rng));
+    inputs.push_back(symmetric_isf(n, rng));
+  }
+  std::vector<NpnCanonization> serial;
+  for (const Isf& f : inputs) serial.push_back(npn_canonize(f));
+
+  constexpr int kThreads = 4;
+  std::vector<std::vector<NpnCanonization>> results(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&inputs, &out = results[t]] {
+      for (const Isf& f : inputs) out.push_back(npn_canonize(f));
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  for (int t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(results[t].size(), serial.size());
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+      expect_same(results[t][i], serial[i],
+                  "thread=" + std::to_string(t) +
+                      " input=" + std::to_string(i));
+    }
+  }
 }
 
 }  // namespace
