@@ -1,13 +1,14 @@
 /// \file cache_bench.cpp
-/// \brief Persistent-store benchmark: the warm-over-cold payoff and codec
-/// proof for the store/ subsystem, emitting BENCH_cache.json.
+/// \brief Persistent-store benchmark: the warm-over-cold payoff and the
+/// committed store size for the store/ subsystem, emitting BENCH_cache.json.
 ///
 /// Three batch runs over the same job list (every registry circuit under the
 /// HYDE system at k=5, seed 1 — the `hyde_cli --batch -s hyde` workload):
 ///
 ///  - `memory`: the in-memory NPN cache only, for wall-clock context.
 ///  - `cold`: a fresh --cache-dir. Every job synthesizes, every template and
-///    every finished job outcome is entropy-coded and committed to disk.
+///    every finished job outcome is committed to disk; its `store_bytes`
+///    column is the size of everything the run committed.
 ///  - `warm`: the same --cache-dir again in a fresh process state (new
 ///    NpnResultCache, new store handle). Every job must replay from disk.
 ///
@@ -19,8 +20,6 @@
 ///    here, so the JSON rows carry the proof.
 ///  - the warm run must replay every job from disk (job_replays == jobs) and
 ///    synthesize nothing (appends == 0).
-///  - the cold run's entropy-coded bytes must be < 0.6 of the fixed-width
-///    payload bytes (the Huffman codec earns its keep).
 ///  - full runs only: warm wall-clock must beat cold by >= 3x.
 ///
 /// Protocol:
@@ -29,8 +28,8 @@
 ///     cache_bench --quick                                (CI smoke)
 ///
 /// --quick shrinks the suite to two circuits and drops the 3x wall-clock
-/// gate (sub-second workloads are all noise); the identity, replay and codec
-/// gates still apply.
+/// gate (sub-second workloads are all noise); the identity and replay gates
+/// still apply.
 
 #include <chrono>
 #include <cstdint>
@@ -67,10 +66,7 @@ struct RunResult {
   std::string name;
   double seconds = 0.0;
   std::uint64_t checksum = 0;  ///< fnv1a over the deterministic JSON subset
-  std::uint64_t disk_hits = 0;
-  std::uint64_t job_replays = 0;
-  std::uint64_t appends = 0;
-  double codec_ratio = 0.0;  ///< coded/raw for this run's puts (0: no puts)
+  hyde::runtime::StoreReport store;  ///< the run's store counters
   bool all_ok = false;
 };
 
@@ -93,19 +89,16 @@ RunResult run_once(const std::string& name,
   result.checksum = fnv1a_string(
       0xCBF29CE484222325ull,
       hyde::runtime::to_json(report, /*include_volatile=*/false));
-  result.disk_hits = report.store.disk_hits;
-  result.job_replays = report.store.job_hits;
-  result.appends = report.store.appends;
-  result.codec_ratio = report.store.codec_ratio();
+  result.store = report.store;
   result.all_ok = report.all_ok();
   std::fprintf(stderr,
                "cache_bench: %s %.3fs, %llu disk hits, %llu job replays, "
-               "%llu appends, codec ratio %.3f\n",
+               "%llu appends, %llu store bytes\n",
                name.c_str(), result.seconds,
-               static_cast<unsigned long long>(result.disk_hits),
-               static_cast<unsigned long long>(result.job_replays),
-               static_cast<unsigned long long>(result.appends),
-               result.codec_ratio);
+               static_cast<unsigned long long>(report.store.disk_hits),
+               static_cast<unsigned long long>(report.store.job_hits),
+               static_cast<unsigned long long>(report.store.appends),
+               static_cast<unsigned long long>(report.store.bytes_written));
   return result;
 }
 
@@ -114,12 +107,13 @@ void append_json(std::string& out, const RunResult& r, bool last) {
   std::snprintf(buf, sizeof(buf),
                 "    {\"name\": \"%s\", \"seconds\": %.6f, \"checksum\": %llu, "
                 "\"disk_hits\": %llu, \"job_replays\": %llu, "
-                "\"appends\": %llu, \"codec_ratio\": %.4f}%s\n",
+                "\"appends\": %llu, \"store_bytes\": %llu}%s\n",
                 r.name.c_str(), r.seconds,
                 static_cast<unsigned long long>(r.checksum),
-                static_cast<unsigned long long>(r.disk_hits),
-                static_cast<unsigned long long>(r.job_replays),
-                static_cast<unsigned long long>(r.appends), r.codec_ratio,
+                static_cast<unsigned long long>(r.store.disk_hits),
+                static_cast<unsigned long long>(r.store.job_hits),
+                static_cast<unsigned long long>(r.store.appends),
+                static_cast<unsigned long long>(r.store.bytes_written),
                 last ? "" : ",");
   out += buf;
 }
@@ -160,8 +154,8 @@ int main(int argc, char** argv) {
     results.push_back(run_once("memory", jobs, ""));
   }
   results.push_back(run_once("cold", jobs, cache_dir.string()));
-  const RunResult& cold = results.back();
   results.push_back(run_once("warm", jobs, cache_dir.string()));
+  const RunResult& cold = results[results.size() - 2];
   const RunResult& warm = results.back();
   fs::remove_all(cache_dir);
 
@@ -181,23 +175,17 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(cold.checksum));
     ok = false;
   }
-  if (warm.job_replays != jobs.size()) {
+  if (warm.store.job_hits != jobs.size()) {
     std::fprintf(stderr,
                  "cache_bench: warm run replayed %llu of %zu jobs\n",
-                 static_cast<unsigned long long>(warm.job_replays),
+                 static_cast<unsigned long long>(warm.store.job_hits),
                  jobs.size());
     ok = false;
   }
-  if (warm.appends != 0) {
+  if (warm.store.appends != 0) {
     std::fprintf(stderr,
                  "cache_bench: warm run appended %llu records (expected 0)\n",
-                 static_cast<unsigned long long>(warm.appends));
-    ok = false;
-  }
-  if (cold.codec_ratio <= 0.0 || cold.codec_ratio >= 0.6) {
-    std::fprintf(stderr,
-                 "cache_bench: cold codec ratio %.4f outside (0, 0.6)\n",
-                 cold.codec_ratio);
+                 static_cast<unsigned long long>(warm.store.appends));
     ok = false;
   }
   if (!quick && warm.seconds * 3.0 > cold.seconds) {

@@ -264,21 +264,9 @@ RunReport run_batch(const std::vector<BatchJob>& jobs,
     // Commit before snapshotting so `records` reflects what later runs will
     // actually find on disk.
     disk_store->flush();
-    const store::StoreCounters sc = disk_store->counters();
+    static_cast<store::StoreCounters&>(report.store) = disk_store->counters();
     report.store.enabled = true;
     report.store.readonly = options.cache_readonly;
-    report.store.disk_hits = sc.disk_hits;
-    report.store.disk_misses = sc.disk_misses;
-    report.store.bytes_read = sc.bytes_read;
-    report.store.bytes_written = sc.bytes_written;
-    report.store.raw_bytes = sc.raw_bytes;
-    report.store.coded_bytes = sc.coded_bytes;
-    report.store.evictions = sc.evictions;
-    report.store.corrupt_records = sc.corrupt_records;
-    report.store.appends = sc.appends;
-    report.store.records = sc.records;
-    report.store.job_hits = sc.job_hits;
-    report.store.job_appends = sc.job_appends;
   }
   return report;
 }

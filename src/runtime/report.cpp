@@ -106,9 +106,6 @@ std::string to_json(const RunReport& report, bool include_volatile) {
     out += ", \"disk_misses\": " + std::to_string(report.store.disk_misses);
     out += ", \"bytes_read\": " + std::to_string(report.store.bytes_read);
     out += ", \"bytes_written\": " + std::to_string(report.store.bytes_written);
-    out += ", \"raw_bytes\": " + std::to_string(report.store.raw_bytes);
-    out += ", \"coded_bytes\": " + std::to_string(report.store.coded_bytes);
-    out += ", \"codec_ratio\": " + format_double(report.store.codec_ratio());
     out += ", \"evictions\": " + std::to_string(report.store.evictions);
     out += ", \"corrupt_records\": " +
            std::to_string(report.store.corrupt_records);

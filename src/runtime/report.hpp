@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "core/flow.hpp"
+#include "store/persistent_cache.hpp"
 
 namespace hyde::runtime {
 
@@ -60,32 +61,18 @@ struct CacheReport {
   }
 };
 
-/// Persistent on-disk store figures for the whole run
-/// (src/store/persistent_cache.hpp). Volatile: which lookups reach the disk
-/// tier depends on which worker warmed the memory tier first, and the byte
-/// counters track actual disk traffic.
-struct StoreReport {
+/// Persistent on-disk store figures for the whole run: the store's counters
+/// (src/store/persistent_cache.hpp) snapshotted after the run's final flush.
+/// Volatile: which lookups reach the disk tier depends on which worker warmed
+/// the memory tier first, and the byte counters track actual disk traffic.
+struct StoreReport : store::StoreCounters {
   bool enabled = false;
   bool readonly = false;
-  std::uint64_t disk_hits = 0;
-  std::uint64_t disk_misses = 0;
-  std::uint64_t bytes_read = 0;
-  std::uint64_t bytes_written = 0;
-  std::uint64_t raw_bytes = 0;    ///< fixed-width payload bytes put this run
-  std::uint64_t coded_bytes = 0;  ///< entropy-coded bytes for the same puts
-  std::uint64_t evictions = 0;
-  std::uint64_t corrupt_records = 0;
-  std::uint64_t appends = 0;
-  std::uint64_t records = 0;  ///< records visible on disk at snapshot time
-  std::uint64_t job_hits = 0;     ///< whole-job outcomes replayed from disk
-  std::uint64_t job_appends = 0;  ///< whole-job outcomes committed this run
 
-  /// Entropy-coded over fixed-width size; 0 when nothing was written.
-  double codec_ratio() const {
-    return raw_bytes == 0 ? 0.0
-                          : static_cast<double>(coded_bytes) /
-                                static_cast<double>(raw_bytes);
-  }
+  /// Retained for callers that still read a codec ratio. Artifacts carry
+  /// their fixed-width payload verbatim, so the ratio is 1.0 whenever the
+  /// run appended and 0 otherwise.
+  double codec_ratio() const { return appends == 0 ? 0.0 : 1.0; }
 };
 
 /// Aggregated BDD-kernel figures for the whole batch (all volatile: with the

@@ -1,6 +1,5 @@
 #include "store/codec.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "tt/truth_table.hpp"
@@ -8,6 +7,8 @@
 namespace hyde::store {
 
 namespace {
+
+constexpr std::uint32_t kArtifactMagic = 0x43415948;  // "HYAC"
 
 // ---------------------------------------------------------------------------
 // Little-endian field writers/readers. Explicit byte assembly keeps the
@@ -32,11 +33,6 @@ class ByteReader {
   ByteReader(const std::uint8_t* data, std::size_t size)
       : data_(data), size_(size) {}
 
-  bool read_u8(std::uint8_t* v) {
-    if (pos_ + 1 > size_) return false;
-    *v = data_[pos_++];
-    return true;
-  }
   bool read_u16(std::uint16_t* v) {
     if (pos_ + 2 > size_) return false;
     *v = static_cast<std::uint16_t>(data_[pos_] |
@@ -61,11 +57,6 @@ class ByteReader {
   }
   const std::uint8_t* cursor() const { return data_ + pos_; }
   std::size_t remaining() const { return size_ - pos_; }
-  bool skip(std::size_t n) {
-    if (pos_ + n > size_) return false;
-    pos_ += n;
-    return true;
-  }
   bool at_end() const { return pos_ == size_; }
 
  private:
@@ -101,369 +92,17 @@ bool read_table(ByteReader& in, tt::TruthTable* table) {
   return true;
 }
 
-// ---------------------------------------------------------------------------
-// Canonical Huffman coding, generic over the symbol alphabet. Two alphabets
-// are tried: bytes (256 symbols, explicit table of the present symbols) and
-// nibbles (16 symbols, fixed 8-byte nibble-packed length table). Small
-// artifacts — the common case for decomposition templates — usually win
-// with the nibble alphabet because its table overhead is constant and tiny.
-// ---------------------------------------------------------------------------
-
-constexpr std::uint32_t kArtifactMagic = 0x43415948;  // "HYAC"
-constexpr std::uint8_t kEncodingRaw = 0;
-constexpr std::uint8_t kEncodingHuffmanBytes = 1;
-constexpr std::uint8_t kEncodingHuffmanNibbles = 2;
-constexpr int kMaxLenBytes = 16;    ///< code-length cap, byte alphabet
-constexpr int kMaxLenNibbles = 15;  ///< must fit in a nibble
-
-/// Computes one Huffman code length per symbol with nonzero frequency.
-/// Deterministic: the tree is built with ties broken by node creation order
-/// (leaves first, in symbol order). Lengths above \p limit are eliminated by
-/// halving the frequencies and rebuilding — the classic pragmatic length
-/// limiter; it converges because frequencies flatten toward 1.
-std::vector<std::uint8_t> huffman_code_lengths(std::vector<std::uint64_t> freq,
-                                               int limit) {
-  const int alphabet = static_cast<int>(freq.size());
-  std::vector<std::uint8_t> lengths(freq.size(), 0);
-  for (;;) {
-    struct Node {
-      std::uint64_t weight = 0;
-      int left = -1;  ///< child node index, or -1 for a leaf
-      int right = -1;
-      int symbol = -1;
-    };
-    std::vector<Node> nodes;
-    std::vector<int> heap;  // node indices ordered by (weight, index)
-    const auto heap_less = [&nodes](int a, int b) {
-      // std::push_heap keeps the *largest* first; invert for a min-heap.
-      const Node& na = nodes[static_cast<std::size_t>(a)];
-      const Node& nb = nodes[static_cast<std::size_t>(b)];
-      return na.weight > nb.weight || (na.weight == nb.weight && a > b);
-    };
-    for (int s = 0; s < alphabet; ++s) {
-      if (freq[static_cast<std::size_t>(s)] == 0) continue;
-      nodes.push_back(Node{freq[static_cast<std::size_t>(s)], -1, -1, s});
-      heap.push_back(static_cast<int>(nodes.size()) - 1);
-    }
-    std::fill(lengths.begin(), lengths.end(), std::uint8_t{0});
-    if (nodes.empty()) return lengths;
-    if (nodes.size() == 1) {
-      lengths[static_cast<std::size_t>(nodes[0].symbol)] = 1;
-      return lengths;
-    }
-    std::make_heap(heap.begin(), heap.end(), heap_less);
-    while (heap.size() > 1) {
-      std::pop_heap(heap.begin(), heap.end(), heap_less);
-      const int a = heap.back();
-      heap.pop_back();
-      std::pop_heap(heap.begin(), heap.end(), heap_less);
-      const int b = heap.back();
-      heap.pop_back();
-      nodes.push_back(Node{nodes[static_cast<std::size_t>(a)].weight +
-                               nodes[static_cast<std::size_t>(b)].weight,
-                           a, b, -1});
-      heap.push_back(static_cast<int>(nodes.size()) - 1);
-      std::push_heap(heap.begin(), heap.end(), heap_less);
-    }
-    // Depth-first depth assignment from the root (the last node built).
-    int max_depth = 0;
-    std::vector<std::pair<int, int>> stack{{heap[0], 0}};
-    while (!stack.empty()) {
-      const auto [index, depth] = stack.back();
-      stack.pop_back();
-      const Node& node = nodes[static_cast<std::size_t>(index)];
-      if (node.symbol >= 0) {
-        lengths[static_cast<std::size_t>(node.symbol)] =
-            static_cast<std::uint8_t>(depth);
-        max_depth = std::max(max_depth, depth);
-        continue;
-      }
-      stack.emplace_back(node.left, depth + 1);
-      stack.emplace_back(node.right, depth + 1);
-    }
-    if (max_depth <= limit) return lengths;
-    for (std::uint64_t& f : freq) {
-      if (f != 0) f = (f >> 1) | 1;
-    }
-  }
-}
-
-/// Canonical code assignment: symbols sorted by (length, value) receive
-/// consecutive codes, shortest first. Returns false if the lengths describe
-/// an over-full (undecodable) code.
-bool canonical_codes(const std::vector<std::uint8_t>& lengths, int limit,
-                     std::vector<std::uint16_t>* codes) {
-  codes->assign(lengths.size(), 0);
-  std::uint32_t code = 0;
-  for (int len = 1; len <= limit; ++len) {
-    code <<= 1;
-    for (std::size_t s = 0; s < lengths.size(); ++s) {
-      if (lengths[s] != len) continue;
-      if (code >= (1u << len)) return false;
-      (*codes)[s] = static_cast<std::uint16_t>(code++);
-    }
-  }
-  return true;
-}
-
-class BitWriter {
- public:
-  explicit BitWriter(std::vector<std::uint8_t>& out) : out_(out) {}
-  void write(std::uint16_t code, int length) {
-    // Most significant code bit first, matching the canonical decoder.
-    for (int b = length - 1; b >= 0; --b) {
-      acc_ = static_cast<std::uint8_t>(acc_ | (((code >> b) & 1u) << fill_));
-      if (++fill_ == 8) {
-        out_.push_back(acc_);
-        acc_ = 0;
-        fill_ = 0;
-      }
-    }
-    bits_ += static_cast<std::uint32_t>(length);
-  }
-  void finish() {
-    if (fill_ > 0) {
-      out_.push_back(acc_);
-      acc_ = 0;
-      fill_ = 0;
-    }
-  }
-  std::uint32_t bit_count() const { return bits_; }
-
- private:
-  std::vector<std::uint8_t>& out_;
-  std::uint8_t acc_ = 0;
-  int fill_ = 0;
-  std::uint32_t bits_ = 0;
-};
-
-/// Canonical decoder state shared by both alphabets: per-length first code,
-/// per-length first index into the canonical symbol order.
-struct CanonicalDecoder {
-  int max_len = 0;
-  std::vector<std::uint32_t> counts;
-  std::vector<std::uint32_t> first_code;
-  std::vector<std::uint32_t> first_symbol;
-  std::vector<std::uint8_t> symbols;  // canonical (length, value) order
-
-  /// Builds the tables from per-symbol lengths; false on an over-full code
-  /// or an empty alphabet.
-  bool build(const std::vector<std::uint8_t>& lengths, int limit) {
-    max_len = 0;
-    for (std::uint8_t len : lengths) max_len = std::max(max_len, int{len});
-    if (max_len == 0 || max_len > limit) return false;
-    counts.assign(static_cast<std::size_t>(max_len) + 1, 0);
-    symbols.clear();
-    for (int len = 1; len <= max_len; ++len) {
-      for (std::size_t s = 0; s < lengths.size(); ++s) {
-        if (lengths[s] != len) continue;
-        ++counts[static_cast<std::size_t>(len)];
-        symbols.push_back(static_cast<std::uint8_t>(s));
-      }
-    }
-    first_code.assign(static_cast<std::size_t>(max_len) + 1, 0);
-    first_symbol.assign(static_cast<std::size_t>(max_len) + 1, 0);
-    std::uint32_t code = 0;
-    std::uint32_t base = 0;
-    for (int len = 1; len <= max_len; ++len) {
-      code <<= 1;
-      first_code[static_cast<std::size_t>(len)] = code;
-      first_symbol[static_cast<std::size_t>(len)] = base;
-      code += counts[static_cast<std::size_t>(len)];
-      base += counts[static_cast<std::size_t>(len)];
-      if (code > (1u << len)) return false;
-    }
-    return true;
-  }
-
-  /// Decodes one symbol from \p stream starting at bit \p *bit; false on
-  /// stream underrun or a bit pattern matching no code.
-  bool decode_one(const std::uint8_t* stream, std::uint32_t bit_count,
-                  std::uint32_t* bit, std::uint8_t* symbol) const {
-    std::uint32_t value = 0;
-    for (int len = 1; len <= max_len; ++len) {
-      if (*bit >= bit_count) return false;
-      value = (value << 1) | ((stream[*bit >> 3] >> (*bit & 7u)) & 1u);
-      ++*bit;
-      const std::uint32_t count = counts[static_cast<std::size_t>(len)];
-      const std::uint32_t first = first_code[static_cast<std::size_t>(len)];
-      if (count != 0 && value >= first && value < first + count) {
-        *symbol = symbols[first_symbol[static_cast<std::size_t>(len)] +
-                          (value - first)];
-        return true;
-      }
-    }
-    return false;
-  }
-};
-
-/// Byte-alphabet body: u8 max length, u16 per-length symbol counts, the
-/// present symbols in canonical order, u32 bit count, bit-merged stream.
-std::vector<std::uint8_t> encode_body_bytes(
-    const std::vector<std::uint8_t>& raw) {
-  std::vector<std::uint64_t> freq(256, 0);
-  for (std::uint8_t byte : raw) ++freq[byte];
-  const std::vector<std::uint8_t> lengths =
-      huffman_code_lengths(std::move(freq), kMaxLenBytes);
-  std::vector<std::uint16_t> codes;
-  if (!canonical_codes(lengths, kMaxLenBytes, &codes)) return {};
-  int max_len = 0;
-  for (std::uint8_t len : lengths) max_len = std::max(max_len, int{len});
-  if (max_len == 0) return {};
-  std::vector<std::uint8_t> body;
-  body.push_back(static_cast<std::uint8_t>(max_len));
-  for (int len = 1; len <= max_len; ++len) {
-    std::uint16_t count = 0;
-    for (int s = 0; s < 256; ++s) {
-      if (lengths[static_cast<std::size_t>(s)] == len) ++count;
-    }
-    body.push_back(static_cast<std::uint8_t>(count));
-    body.push_back(static_cast<std::uint8_t>(count >> 8));
-  }
-  for (int len = 1; len <= max_len; ++len) {
-    for (int s = 0; s < 256; ++s) {
-      if (lengths[static_cast<std::size_t>(s)] == len) {
-        body.push_back(static_cast<std::uint8_t>(s));
-      }
-    }
-  }
-  const std::size_t bit_count_at = body.size();
-  put_u32(body, 0);  // back-patched below
-  BitWriter bits(body);
-  for (std::uint8_t byte : raw) {
-    bits.write(codes[byte], lengths[byte]);
-  }
-  bits.finish();
-  const std::uint32_t bit_count = bits.bit_count();
-  body[bit_count_at] = static_cast<std::uint8_t>(bit_count);
-  body[bit_count_at + 1] = static_cast<std::uint8_t>(bit_count >> 8);
-  body[bit_count_at + 2] = static_cast<std::uint8_t>(bit_count >> 16);
-  body[bit_count_at + 3] = static_cast<std::uint8_t>(bit_count >> 24);
-  return body;
-}
-
-/// Nibble-alphabet body: a fixed 8-byte nibble-packed length table (symbol
-/// 2i in the low nibble, 2i+1 in the high), u32 bit count, then a stream of
-/// 2·raw_size symbols (low nibble of each byte first).
-std::vector<std::uint8_t> encode_body_nibbles(
-    const std::vector<std::uint8_t>& raw) {
-  std::vector<std::uint64_t> freq(16, 0);
-  for (std::uint8_t byte : raw) {
-    ++freq[byte & 0xFu];
-    ++freq[byte >> 4];
-  }
-  const std::vector<std::uint8_t> lengths =
-      huffman_code_lengths(std::move(freq), kMaxLenNibbles);
-  std::vector<std::uint16_t> codes;
-  if (!canonical_codes(lengths, kMaxLenNibbles, &codes)) return {};
-  int max_len = 0;
-  for (std::uint8_t len : lengths) max_len = std::max(max_len, int{len});
-  if (max_len == 0) return {};
-  std::vector<std::uint8_t> body;
-  for (std::size_t i = 0; i < 16; i += 2) {
-    body.push_back(
-        static_cast<std::uint8_t>(lengths[i] | (lengths[i + 1] << 4)));
-  }
-  const std::size_t bit_count_at = body.size();
-  put_u32(body, 0);  // back-patched below
-  BitWriter bits(body);
-  for (std::uint8_t byte : raw) {
-    bits.write(codes[byte & 0xFu], lengths[byte & 0xFu]);
-    bits.write(codes[byte >> 4], lengths[byte >> 4]);
-  }
-  bits.finish();
-  const std::uint32_t bit_count = bits.bit_count();
-  body[bit_count_at] = static_cast<std::uint8_t>(bit_count);
-  body[bit_count_at + 1] = static_cast<std::uint8_t>(bit_count >> 8);
-  body[bit_count_at + 2] = static_cast<std::uint8_t>(bit_count >> 16);
-  body[bit_count_at + 3] = static_cast<std::uint8_t>(bit_count >> 24);
-  return body;
-}
-
-/// Unused high bits of the final stream byte must be zero: an accepted
-/// artifact then re-encodes to the identical byte vector, so blobs stay
-/// byte-comparable, and a flipped pad bit is detected like any other flip.
-bool padding_is_zero(const std::uint8_t* stream, std::uint32_t bit_count) {
-  if (bit_count % 8 == 0) return true;
-  return (stream[bit_count / 8] >> (bit_count % 8)) == 0;
-}
-
-bool decode_body_bytes(ByteReader& in, std::uint32_t raw_size,
-                       std::vector<std::uint8_t>* raw) {
-  std::uint8_t max_len = 0;
-  if (!in.read_u8(&max_len) || max_len == 0 || max_len > kMaxLenBytes) {
-    return false;
-  }
-  std::vector<std::uint8_t> lengths(256, 0);
-  std::vector<std::uint16_t> counts(static_cast<std::size_t>(max_len) + 1, 0);
-  std::uint32_t total_symbols = 0;
-  for (int len = 1; len <= max_len; ++len) {
-    if (!in.read_u16(&counts[static_cast<std::size_t>(len)])) return false;
-    total_symbols += counts[static_cast<std::size_t>(len)];
-  }
-  if (total_symbols == 0 || total_symbols > 256) return false;
-  if (in.remaining() < total_symbols) return false;
-  const std::uint8_t* symbol_list = in.cursor();
-  if (!in.skip(total_symbols)) return false;
-  std::size_t at = 0;
-  std::vector<bool> seen(256, false);
-  for (int len = 1; len <= max_len; ++len) {
-    for (std::uint32_t i = 0; i < counts[static_cast<std::size_t>(len)]; ++i) {
-      const std::uint8_t s = symbol_list[at++];
-      if (seen[s]) return false;  // duplicate symbol: corrupt table
-      seen[s] = true;
-      lengths[s] = static_cast<std::uint8_t>(len);
-    }
-  }
-  CanonicalDecoder decoder;
-  if (!decoder.build(lengths, kMaxLenBytes)) return false;
-  std::uint32_t bit_count = 0;
-  if (!in.read_u32(&bit_count)) return false;
-  if (in.remaining() != (bit_count + 7) / 8) return false;
-  const std::uint8_t* stream = in.cursor();
-  raw->reserve(raw_size);
-  std::uint32_t bit = 0;
-  while (raw->size() < raw_size) {
-    std::uint8_t symbol = 0;
-    if (!decoder.decode_one(stream, bit_count, &bit, &symbol)) return false;
-    raw->push_back(symbol);
-  }
-  if (bit != bit_count) return false;  // reject trailing coded garbage
-  return padding_is_zero(stream, bit_count);
-}
-
-bool decode_body_nibbles(ByteReader& in, std::uint32_t raw_size,
-                         std::vector<std::uint8_t>* raw) {
-  std::vector<std::uint8_t> lengths(16, 0);
-  for (std::size_t i = 0; i < 16; i += 2) {
-    std::uint8_t packed = 0;
-    if (!in.read_u8(&packed)) return false;
-    lengths[i] = packed & 0xFu;
-    lengths[i + 1] = packed >> 4;
-  }
-  CanonicalDecoder decoder;
-  if (!decoder.build(lengths, kMaxLenNibbles)) return false;
-  std::uint32_t bit_count = 0;
-  if (!in.read_u32(&bit_count)) return false;
-  if (in.remaining() != (bit_count + 7) / 8) return false;
-  const std::uint8_t* stream = in.cursor();
-  raw->reserve(raw_size);
-  std::uint32_t bit = 0;
-  while (raw->size() < raw_size) {
-    std::uint8_t lo = 0;
-    std::uint8_t hi = 0;
-    if (!decoder.decode_one(stream, bit_count, &bit, &lo)) return false;
-    if (!decoder.decode_one(stream, bit_count, &bit, &hi)) return false;
-    raw->push_back(static_cast<std::uint8_t>(lo | (hi << 4)));
-  }
-  if (bit != bit_count) return false;  // reject trailing coded garbage
-  return padding_is_zero(stream, bit_count);
+/// FNV-1a over the record key followed by the payload, so that neither can
+/// be damaged without the artifact failing validation.
+std::uint64_t artifact_checksum(const std::vector<std::uint8_t>& key,
+                                const std::uint8_t* payload, std::size_t size) {
+  return fnv1a_bytes(payload, size, fnv1a_bytes(key.data(), key.size()));
 }
 
 }  // namespace
 
-std::uint64_t fnv1a_bytes(const std::uint8_t* data, std::size_t size) {
-  std::uint64_t hash = 0xCBF29CE484222325ull;
+std::uint64_t fnv1a_bytes(const std::uint8_t* data, std::size_t size,
+                          std::uint64_t hash) {
   for (std::size_t i = 0; i < size; ++i) {
     hash ^= data[i];
     hash *= 0x100000001B3ull;
@@ -552,10 +191,11 @@ std::vector<std::uint8_t> serialize_key(const core::NpnCacheKey& key) {
   return out;
 }
 
-std::vector<std::uint8_t> encode_artifact(const std::vector<std::uint8_t>& raw,
-                                          ArtifactKind kind,
-                                          std::uint64_t fingerprint) {
+std::vector<std::uint8_t> encode_artifact(
+    const std::vector<std::uint8_t>& payload, ArtifactKind kind,
+    std::uint64_t fingerprint, const std::vector<std::uint8_t>& key) {
   std::vector<std::uint8_t> out;
+  out.reserve(kArtifactHeaderBytes + payload.size());
   put_u32(out, kArtifactMagic);
   out.push_back(static_cast<std::uint8_t>(kArtifactFormatVersion));
   out.push_back(static_cast<std::uint8_t>(kArtifactFormatVersion >> 8));
@@ -563,73 +203,36 @@ std::vector<std::uint8_t> encode_artifact(const std::vector<std::uint8_t>& raw,
   out.push_back(static_cast<std::uint8_t>(kind_value));
   out.push_back(static_cast<std::uint8_t>(kind_value >> 8));
   put_u64(out, fingerprint);
-  put_u32(out, static_cast<std::uint32_t>(raw.size()));
-  put_u64(out, fnv1a_bytes(raw.data(), raw.size()));
-
-  // Frequency counting → canonical Huffman → bit-merged stream, over two
-  // candidate alphabets; the smaller body wins, raw wins all ties. The
-  // choice is a pure function of the payload, keeping encoding
-  // deterministic.
-  std::uint8_t encoding = kEncodingRaw;
-  const std::vector<std::uint8_t>* body = &raw;
-  std::vector<std::uint8_t> bytes_body;
-  std::vector<std::uint8_t> nibbles_body;
-  if (!raw.empty()) {
-    bytes_body = encode_body_bytes(raw);
-    nibbles_body = encode_body_nibbles(raw);
-    if (!bytes_body.empty() && bytes_body.size() < body->size()) {
-      encoding = kEncodingHuffmanBytes;
-      body = &bytes_body;
-    }
-    if (!nibbles_body.empty() && nibbles_body.size() < body->size()) {
-      encoding = kEncodingHuffmanNibbles;
-      body = &nibbles_body;
-    }
-  }
-  out.push_back(encoding);
-  out.insert(out.end(), body->begin(), body->end());
+  put_u32(out, static_cast<std::uint32_t>(payload.size()));
+  put_u64(out, artifact_checksum(key, payload.data(), payload.size()));
+  out.insert(out.end(), payload.begin(), payload.end());
   return out;
 }
 
 std::optional<std::vector<std::uint8_t>> decode_artifact(
     const std::uint8_t* data, std::size_t size, ArtifactKind kind,
-    std::uint64_t expected_fingerprint) {
+    std::uint64_t fingerprint, const std::vector<std::uint8_t>& key) {
   ByteReader in(data, size);
   std::uint32_t magic = 0;
   std::uint16_t version = 0;
   std::uint16_t kind_value = 0;
-  std::uint64_t fingerprint = 0;
-  std::uint32_t raw_size = 0;
-  std::uint64_t raw_checksum = 0;
-  std::uint8_t encoding = 0;
+  std::uint64_t stored_fingerprint = 0;
+  std::uint32_t payload_size = 0;
+  std::uint64_t checksum = 0;
   if (!in.read_u32(&magic) || magic != kArtifactMagic) return {};
   if (!in.read_u16(&version) || version != kArtifactFormatVersion) return {};
   if (!in.read_u16(&kind_value) ||
       kind_value != static_cast<std::uint16_t>(kind)) {
     return {};
   }
-  if (!in.read_u64(&fingerprint)) return {};
-  if (expected_fingerprint != 0 && fingerprint != expected_fingerprint) {
+  if (!in.read_u64(&stored_fingerprint) || stored_fingerprint != fingerprint) {
     return {};
   }
-  if (!in.read_u32(&raw_size) || !in.read_u64(&raw_checksum)) return {};
-  if (!in.read_u8(&encoding)) return {};
-
-  std::vector<std::uint8_t> raw;
-  if (encoding == kEncodingRaw) {
-    if (in.remaining() != raw_size) return {};
-    raw.assign(in.cursor(), in.cursor() + raw_size);
-  } else if (encoding == kEncodingHuffmanBytes) {
-    if (!decode_body_bytes(in, raw_size, &raw)) return {};
-  } else if (encoding == kEncodingHuffmanNibbles) {
-    if (!decode_body_nibbles(in, raw_size, &raw)) return {};
-  } else {
-    return {};
-  }
-
-  if (raw.size() != raw_size) return {};
-  if (fnv1a_bytes(raw.data(), raw.size()) != raw_checksum) return {};
-  return raw;
+  if (!in.read_u32(&payload_size) || !in.read_u64(&checksum)) return {};
+  if (in.remaining() != payload_size) return {};
+  const std::uint8_t* payload = in.cursor();
+  if (artifact_checksum(key, payload, payload_size) != checksum) return {};
+  return std::vector<std::uint8_t>(payload, payload + payload_size);
 }
 
 }  // namespace hyde::store

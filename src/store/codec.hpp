@@ -1,30 +1,27 @@
 /// \file codec.hpp
-/// \brief Compact binary serialization for cached synthesis artifacts.
+/// \brief Binary serialization for cached synthesis artifacts.
 ///
-/// Two layers, mirroring the classic FPGA-bitstream compression pipeline:
+/// Two layers:
 ///
-///  1. a *naive fixed-width* serialization of a `core::CachedDecomposition`
-///     (the NPN decomposition template — itself a mapped k-feasible
-///     sub-netlist: topo-ordered LUT nodes with fanin lists and local truth
-///     tables) into a flat byte vector of u32/u64 fields; and
-///  2. an *entropy-coded artifact* wrapping those bytes: byte-frequency
-///     counting → canonical Huffman code lengths → a bit-merged stream,
-///     behind a self-describing header carrying the format version, the
-///     flow-shape fingerprint the artifact was produced under, and a
-///     checksum of the raw payload.
+///  1. a *fixed-width* serialization of a `core::CachedDecomposition` (the
+///     NPN decomposition template — itself a mapped k-feasible sub-netlist:
+///     topo-ordered LUT nodes with fanin lists and local truth tables) into a
+///     flat byte vector of little-endian u32/u64 fields; and
+///  2. an *artifact container* around those bytes: a fixed header carrying
+///     the format version, the payload kind, the flow-shape fingerprint the
+///     artifact was produced under and a checksum, followed by the payload
+///     verbatim.
 ///
-/// The encoder falls back to storing the raw bytes verbatim when Huffman
-/// would not shrink them (tiny or incompressible payloads), so
-/// `decode_artifact` always round-trips. Decoding is strict: any header
-/// mismatch (magic, version, fingerprint), checksum failure, truncated
-/// table or over/under-running bitstream returns failure instead of bytes —
-/// the persistent store (persistent_cache.hpp) maps every such failure to a
-/// cache miss, never to a wrong result.
+/// The checksum covers the record's key bytes followed by the payload, so a
+/// damaged key can never make a valid payload answer for a different key.
+/// Decoding is strict: any header mismatch (magic, version, kind,
+/// fingerprint), size mismatch or checksum failure returns failure instead
+/// of bytes — the persistent store (persistent_cache.hpp) maps every such
+/// failure to a cache miss, never to a wrong result.
 ///
-/// Everything here is deterministic: the same artifact and fingerprint
-/// always produce the identical encoded byte vector (tree ties are broken
-/// by creation order, canonical codes by (length, symbol)), so encoded
-/// blobs may be compared byte-wise across processes and machines.
+/// Everything here is deterministic: the same payload, key and fingerprint
+/// always produce the identical artifact bytes, so artifacts may be compared
+/// byte-wise across processes and machines.
 
 #pragma once
 
@@ -38,15 +35,11 @@ namespace hyde::store {
 
 /// On-disk artifact format version; bumped on any incompatible layout
 /// change. Readers reject (degrade to cold) anything else.
-inline constexpr std::uint16_t kArtifactFormatVersion = 1;
+inline constexpr std::uint16_t kArtifactFormatVersion = 2;
 
 /// Fixed size of the artifact container header (magic, version, kind,
-/// fingerprint, raw size, raw checksum, encoding tag). The bytes after it
-/// are the codec body — Huffman table + bit stream, or the raw fallback —
-/// which is what the store's codec-ratio counters measure against the
-/// fixed-width serialization, since the header is constant bookkeeping any
-/// codec would pay.
-inline constexpr std::size_t kArtifactHeaderBytes = 4 + 2 + 2 + 8 + 4 + 8 + 1;
+/// fingerprint, payload size, checksum); the payload follows verbatim.
+inline constexpr std::size_t kArtifactHeaderBytes = 4 + 2 + 2 + 8 + 4 + 8;
 
 /// What an artifact payload contains. The tag keeps the header
 /// self-describing, so different payload kinds share the container (and the
@@ -60,13 +53,14 @@ enum class ArtifactKind : std::uint16_t {
   kBatchJobOutcome = 2,
 };
 
-/// FNV-1a over a byte range; the payload checksum used by the artifact
-/// header and the store's record validation.
-std::uint64_t fnv1a_bytes(const std::uint8_t* data, std::size_t size);
+/// FNV-1a over a byte range, continuing from \p hash (the FNV offset basis
+/// by default) so that several ranges can be hashed as one; the artifact
+/// checksum and the store's shard selector.
+std::uint64_t fnv1a_bytes(const std::uint8_t* data, std::size_t size,
+                          std::uint64_t hash = 0xCBF29CE484222325ull);
 
 /// Fixed-width template serialization (layer 1). Every field is a
-/// little-endian u32/u64; see codec.cpp for the exact layout. This is the
-/// baseline the entropy coder's compression ratio is measured against.
+/// little-endian u32/u64; see codec.cpp for the exact layout.
 std::vector<std::uint8_t> serialize_template(
     const core::CachedDecomposition& entry);
 
@@ -82,22 +76,18 @@ std::optional<core::CachedDecomposition> deserialize_template(
 /// so lookups compare full keys, never just hashes.
 std::vector<std::uint8_t> serialize_key(const core::NpnCacheKey& key);
 
-/// Entropy-codes \p raw into a self-describing artifact (layer 2):
-/// header (magic, version, kind, \p fingerprint, raw size, raw checksum)
-/// followed by the smallest of three bodies — a byte-alphabet canonical
-/// Huffman table + bit-merged stream, a nibble-alphabet one (tiny fixed
-/// table; usually wins on the small zero-heavy template payloads), or the
-/// raw bytes verbatim.
-std::vector<std::uint8_t> encode_artifact(const std::vector<std::uint8_t>& raw,
-                                          ArtifactKind kind,
-                                          std::uint64_t fingerprint);
+/// Wraps \p payload in a self-describing artifact (layer 2): header
+/// (magic, version, \p kind, \p fingerprint, payload size, FNV-1a over
+/// \p key followed by \p payload), then the payload bytes verbatim.
+std::vector<std::uint8_t> encode_artifact(
+    const std::vector<std::uint8_t>& payload, ArtifactKind kind,
+    std::uint64_t fingerprint, const std::vector<std::uint8_t>& key);
 
-/// Decodes an artifact produced by encode_artifact. Validates the magic,
-/// format version, artifact kind, and — when \p expected_fingerprint is
-/// nonzero — the header fingerprint, then decompresses and verifies the
-/// raw-payload checksum. Any failure returns nullopt.
+/// Strict inverse of encode_artifact: validates the magic, format version,
+/// \p kind, \p fingerprint, payload size and the checksum over \p key and
+/// the payload, then returns the payload. Any failure returns nullopt.
 std::optional<std::vector<std::uint8_t>> decode_artifact(
     const std::uint8_t* data, std::size_t size, ArtifactKind kind,
-    std::uint64_t expected_fingerprint);
+    std::uint64_t fingerprint, const std::vector<std::uint8_t>& key);
 
 }  // namespace hyde::store

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <functional>
 #include <system_error>
 #include <utility>
 
@@ -19,9 +20,9 @@ namespace {
 
 // Shard file layout. Header: magic, format version, shard index, shard
 // count. Records follow back to back: magic, generation, key size, payload
-// size, key bytes (full serialized NpnCacheKey), payload bytes (entropy-
-// coded artifact). A reader stops at the first malformed record, so a torn
-// tail only costs the records behind it.
+// size, key bytes (full serialized NpnCacheKey or blob key), payload bytes
+// (artifact, codec.hpp). A reader stops at the first malformed record, so a
+// torn tail only costs the records behind it.
 constexpr std::uint32_t kShardMagic = 0x53445948;   // "HYDS"
 constexpr std::uint32_t kRecordMagic = 0x52445948;  // "HYDR"
 constexpr std::uint16_t kStoreFormatVersion = 1;
@@ -311,129 +312,96 @@ bool PersistentStore::reload_shard(std::size_t index) {
   return true;
 }
 
-std::optional<core::CachedDecomposition> PersistentStore::lookup(
-    const core::NpnCacheKey& key) {
+void PersistentStore::lookup_record(
+    const std::vector<std::uint8_t>& key_bytes, ArtifactKind kind,
+    std::uint64_t fingerprint,
+    const std::function<bool(std::vector<std::uint8_t>)>& accept) {
   std::lock_guard<std::mutex> guard(mutex_);
   if (!ok_) {
     ++counters_.disk_misses;
-    return std::nullopt;
+    return;
   }
-  const std::vector<std::uint8_t> key_bytes = serialize_key(key);
   Shard& shard = shards_[shard_of(key_bytes)];
   const auto it = shard.index.find(key_bytes);
   if (it == shard.index.end()) {
     ++counters_.disk_misses;
-    return std::nullopt;
+    return;
   }
-  const auto raw =
-      decode_artifact(it->second.payload, it->second.payload_size,
-                      ArtifactKind::kDecompositionTemplate,
-                      key.options_fingerprint);
-  std::optional<core::CachedDecomposition> entry;
-  if (raw) entry = deserialize_template(raw->data(), raw->size());
-  if (!entry) {
+  auto payload = decode_artifact(it->second.payload, it->second.payload_size,
+                                 kind, fingerprint, key_bytes);
+  if (!payload || !accept(std::move(*payload))) {
     // Validation failed: drop the record so it cannot be consulted again
-    // and report a miss — the flow recomputes from scratch.
+    // and report a miss — the caller recomputes from scratch, and its re-put
+    // replaces the damaged copy at the next flush.
     ++counters_.corrupt_records;
     ++counters_.disk_misses;
     shard.pending.erase(key_bytes);
     shard.index.erase(it);
-    return std::nullopt;
-  }
-  ++counters_.disk_hits;
-  counters_.bytes_read += it->second.payload_size;
-  it->second.touched = true;
-  it->second.generation = generation_;
-  return entry;
-}
-
-void PersistentStore::put(const core::NpnCacheKey& key,
-                          const core::CachedDecomposition& value) {
-  std::lock_guard<std::mutex> guard(mutex_);
-  if (!ok_ || options_.readonly) return;
-  const std::vector<std::uint8_t> key_bytes = serialize_key(key);
-  Shard& shard = shards_[shard_of(key_bytes)];
-  if (shard.index.find(key_bytes) != shard.index.end()) return;
-
-  const std::vector<std::uint8_t> raw = serialize_template(value);
-  std::vector<std::uint8_t> artifact = encode_artifact(
-      raw, ArtifactKind::kDecompositionTemplate, key.options_fingerprint);
-  counters_.raw_bytes += raw.size();
-  counters_.coded_bytes += artifact.size() - kArtifactHeaderBytes;
-  ++counters_.appends;
-
-  const auto [it, inserted] =
-      shard.pending.insert_or_assign(key_bytes, std::move(artifact));
-  static_cast<void>(inserted);
-  Shard::Entry entry;
-  entry.payload = it->second.data();
-  entry.payload_size = static_cast<std::uint32_t>(it->second.size());
-  entry.generation = generation_;
-  entry.touched = true;
-  entry.pending = true;
-  shard.index.insert_or_assign(key_bytes, entry);
-}
-
-std::optional<std::vector<std::uint8_t>> PersistentStore::lookup_blob(
-    ArtifactKind kind, const std::vector<std::uint8_t>& name,
-    std::uint64_t fingerprint) {
-  std::lock_guard<std::mutex> guard(mutex_);
-  if (!ok_) {
-    ++counters_.disk_misses;
-    return std::nullopt;
-  }
-  const std::vector<std::uint8_t> key_bytes =
-      blob_key_bytes(kind, name, fingerprint);
-  Shard& shard = shards_[shard_of(key_bytes)];
-  const auto it = shard.index.find(key_bytes);
-  if (it == shard.index.end()) {
-    ++counters_.disk_misses;
-    return std::nullopt;
-  }
-  auto raw = decode_artifact(it->second.payload, it->second.payload_size, kind,
-                             fingerprint);
-  if (!raw) {
-    ++counters_.corrupt_records;
-    ++counters_.disk_misses;
-    shard.pending.erase(key_bytes);
-    shard.index.erase(it);
-    return std::nullopt;
+    return;
   }
   ++counters_.disk_hits;
   if (kind == ArtifactKind::kBatchJobOutcome) ++counters_.job_hits;
   counters_.bytes_read += it->second.payload_size;
   it->second.touched = true;
   it->second.generation = generation_;
-  return raw;
+}
+
+void PersistentStore::put_record(const std::vector<std::uint8_t>& key_bytes,
+                                 ArtifactKind kind, std::uint64_t fingerprint,
+                                 const std::vector<std::uint8_t>& payload) {
+  std::lock_guard<std::mutex> guard(mutex_);
+  if (!ok_ || options_.readonly) return;
+  Shard& shard = shards_[shard_of(key_bytes)];
+  if (shard.index.find(key_bytes) != shard.index.end()) return;
+  ++counters_.appends;
+  if (kind == ArtifactKind::kBatchJobOutcome) ++counters_.job_appends;
+
+  std::vector<std::uint8_t>& artifact = shard.pending[key_bytes];
+  artifact = encode_artifact(payload, kind, fingerprint, key_bytes);
+  Shard::Entry entry;
+  entry.payload = artifact.data();
+  entry.payload_size = static_cast<std::uint32_t>(artifact.size());
+  entry.generation = generation_;
+  entry.touched = true;
+  entry.pending = true;
+  shard.index.insert_or_assign(key_bytes, entry);
+}
+
+std::optional<core::CachedDecomposition> PersistentStore::lookup(
+    const core::NpnCacheKey& key) {
+  std::optional<core::CachedDecomposition> entry;
+  lookup_record(serialize_key(key), ArtifactKind::kDecompositionTemplate,
+                key.options_fingerprint,
+                [&entry](std::vector<std::uint8_t> payload) {
+                  entry = deserialize_template(payload.data(), payload.size());
+                  return entry.has_value();
+                });
+  return entry;
+}
+
+void PersistentStore::put(const core::NpnCacheKey& key,
+                          const core::CachedDecomposition& value) {
+  put_record(serialize_key(key), ArtifactKind::kDecompositionTemplate,
+             key.options_fingerprint, serialize_template(value));
+}
+
+std::optional<std::vector<std::uint8_t>> PersistentStore::lookup_blob(
+    ArtifactKind kind, const std::vector<std::uint8_t>& name,
+    std::uint64_t fingerprint) {
+  std::optional<std::vector<std::uint8_t>> blob;
+  lookup_record(blob_key_bytes(kind, name, fingerprint), kind, fingerprint,
+                [&blob](std::vector<std::uint8_t> payload) {
+                  blob = std::move(payload);
+                  return true;
+                });
+  return blob;
 }
 
 void PersistentStore::put_blob(ArtifactKind kind,
                                const std::vector<std::uint8_t>& name,
                                std::uint64_t fingerprint,
                                const std::vector<std::uint8_t>& raw) {
-  std::lock_guard<std::mutex> guard(mutex_);
-  if (!ok_ || options_.readonly) return;
-  const std::vector<std::uint8_t> key_bytes =
-      blob_key_bytes(kind, name, fingerprint);
-  Shard& shard = shards_[shard_of(key_bytes)];
-  if (shard.index.find(key_bytes) != shard.index.end()) return;
-
-  std::vector<std::uint8_t> artifact = encode_artifact(raw, kind, fingerprint);
-  counters_.raw_bytes += raw.size();
-  counters_.coded_bytes += artifact.size() - kArtifactHeaderBytes;
-  ++counters_.appends;
-  if (kind == ArtifactKind::kBatchJobOutcome) ++counters_.job_appends;
-
-  const auto [it, inserted] =
-      shard.pending.insert_or_assign(key_bytes, std::move(artifact));
-  static_cast<void>(inserted);
-  Shard::Entry entry;
-  entry.payload = it->second.data();
-  entry.payload_size = static_cast<std::uint32_t>(it->second.size());
-  entry.generation = generation_;
-  entry.touched = true;
-  entry.pending = true;
-  shard.index.insert_or_assign(key_bytes, entry);
+  put_record(blob_key_bytes(kind, name, fingerprint), kind, fingerprint, raw);
 }
 
 bool PersistentStore::flush() {
@@ -491,25 +459,22 @@ bool PersistentStore::flush() {
       }
     }
     for (const auto& [key, entry] : shards_[i].index) {
-      const auto it = merged[i].find(key);
       if (entry.pending) {
-        // Another process may have committed the same key first; by the
-        // determinism contract its bytes match ours, so either copy works.
-        if (it == merged[i].end()) {
-          merged[i].insert_or_assign(
-              key, MergedRecord{generation_,
-                                {entry.payload,
-                                 entry.payload + entry.payload_size}});
-        } else {
-          it->second.generation = std::max(it->second.generation, generation_);
-        }
-      } else if (entry.touched) {
-        // LRU stamp for a record read this session. If another process
-        // evicted it meanwhile, let it stay gone — resurrecting would fight
-        // the byte budget.
-        if (it != merged[i].end()) {
-          it->second.generation = std::max(it->second.generation, generation_);
-        }
+        // Pending bytes replace any disk copy. A valid copy another process
+        // committed first is bit-identical by the determinism contract; a
+        // corrupt or stale one is exactly what this re-put heals.
+        MergedRecord& record = merged[i][key];
+        record.generation = std::max(record.generation, generation_);
+        record.payload.assign(entry.payload,
+                              entry.payload + entry.payload_size);
+        continue;
+      }
+      // LRU stamp for a record read this session. If another process
+      // evicted it meanwhile, let it stay gone — resurrecting would fight
+      // the byte budget.
+      const auto it = merged[i].find(key);
+      if (entry.touched && it != merged[i].end()) {
+        it->second.generation = std::max(it->second.generation, generation_);
       }
     }
   }

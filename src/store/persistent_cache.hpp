@@ -6,10 +6,11 @@
 /// file. Records are keyed by the *full serialized* `core::NpnCacheKey`
 /// (onset, dcset, FlowOptions fingerprint) — lookups memcmp whole keys, so
 /// hash collisions can never replay a wrong template — and payloads are
-/// entropy-coded artifacts (codec.hpp) with their own version, fingerprint
-/// and checksum validation. Any record that fails any check is treated as a
-/// cache miss and dropped: corruption degrades to a cold compute, never to
-/// a wrong result or a crash.
+/// artifacts (codec.hpp) with their own version, fingerprint and checksum
+/// validation; the checksum also covers the key bytes, so a damaged key
+/// fails validation instead of answering for another key. Any record that
+/// fails any check is treated as a cache miss and dropped: corruption
+/// degrades to a cold compute, never to a wrong result or a crash.
 ///
 /// Concurrency model:
 ///  - In-process: all methods are thread-safe (one internal mutex; the
@@ -18,8 +19,9 @@
 ///  - Cross-process: readers mmap the shard files and never block. Writers
 ///    buffer puts in memory and commit in `flush()` under an exclusive
 ///    `flock` on `<dir>/store.lock`: each shard is re-read from disk, the
-///    pending records are merged (records another process committed first
-///    are kept — by the determinism contract both copies are bit-identical),
+///    pending records are merged (a pending record replaces the disk copy
+///    of its key — by the determinism contract a valid copy is
+///    bit-identical, and a corrupt or stale one is healed by the re-put),
 ///    and the shard is rewritten to a temp file, fsynced, and atomically
 ///    renamed into place. A reader holding the old mmap keeps a consistent
 ///    (merely stale) view because the rename only unlinks the name.
@@ -37,6 +39,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -57,30 +60,18 @@ struct StoreOptions {
   std::uint64_t max_bytes = 0;  ///< on-disk budget at flush; 0 = unlimited
 };
 
-/// Counter snapshot for the `store` report section. All byte counts are
-/// payload-level (artifact bytes), except raw/coded which measure the codec:
-/// `raw_bytes` is the fixed-width serialization size of everything put this
-/// session, `coded_bytes` the entropy-coded body size for the same entries.
+/// Counter snapshot for the `store` report section.
 struct StoreCounters {
   std::uint64_t disk_hits = 0;
   std::uint64_t disk_misses = 0;
   std::uint64_t bytes_read = 0;     ///< artifact bytes decoded on hits
   std::uint64_t bytes_written = 0;  ///< shard bytes committed by flushes
-  std::uint64_t raw_bytes = 0;
-  std::uint64_t coded_bytes = 0;
   std::uint64_t evictions = 0;        ///< records dropped by the byte budget
   std::uint64_t corrupt_records = 0;  ///< records rejected by validation
   std::uint64_t appends = 0;          ///< new records buffered this session
   std::uint64_t records = 0;          ///< records visible in the open shards
   std::uint64_t job_hits = 0;         ///< whole-job outcome replays served
   std::uint64_t job_appends = 0;      ///< whole-job outcomes buffered
-
-  /// Entropy-coded body size over fixed-width size; 0 when nothing was put.
-  double codec_ratio() const {
-    return raw_bytes == 0
-               ? 0.0
-               : static_cast<double>(coded_bytes) / static_cast<double>(raw_bytes);
-  }
 };
 
 /// Sharded on-disk template store. See the file comment for the format and
@@ -108,7 +99,8 @@ class PersistentStore {
 
   /// Buffers \p value for the next flush. No-op when readonly, disabled, or
   /// the key is already present (the determinism contract makes re-puts
-  /// redundant).
+  /// redundant). A key whose record failed validation this session is absent
+  /// again, so its re-put replaces the damaged copy at the next flush.
   void put(const core::NpnCacheKey& key, const core::CachedDecomposition& value);
 
   /// Generic raw-blob records sharing the shard files with template records.
@@ -124,8 +116,8 @@ class PersistentStore {
       ArtifactKind kind, const std::vector<std::uint8_t>& name,
       std::uint64_t fingerprint);
 
-  /// Blob counterpart of put: buffers \p raw (entropy-coded) for the next
-  /// flush under the (\p kind, \p name, \p fingerprint) key.
+  /// Blob counterpart of put: buffers \p raw for the next flush under the
+  /// (\p kind, \p name, \p fingerprint) key.
   void put_blob(ArtifactKind kind, const std::vector<std::uint8_t>& name,
                 std::uint64_t fingerprint, const std::vector<std::uint8_t>& raw);
 
@@ -141,6 +133,21 @@ class PersistentStore {
   struct Shard;
 
   std::size_t shard_of(const std::vector<std::uint8_t>& key_bytes) const;
+
+  /// The record path behind lookup and lookup_blob: finds \p key_bytes,
+  /// decodes its artifact and hands the payload to \p accept. A record that
+  /// fails decoding or \p accept counts as corrupt and is dropped; either way
+  /// the lookup counts as a miss.
+  void lookup_record(
+      const std::vector<std::uint8_t>& key_bytes, ArtifactKind kind,
+      std::uint64_t fingerprint,
+      const std::function<bool(std::vector<std::uint8_t>)>& accept);
+
+  /// The record path behind put and put_blob.
+  void put_record(const std::vector<std::uint8_t>& key_bytes,
+                  ArtifactKind kind, std::uint64_t fingerprint,
+                  const std::vector<std::uint8_t>& payload);
+
   void open_all();
   void close_all();
   bool reload_shard(std::size_t index);

@@ -1,13 +1,17 @@
 /// Corruption-injection tests for the persistent store: every damaged-disk
-/// scenario — truncated shard, bit-flipped payload, stale format version,
-/// fingerprint mismatch — must degrade to a cold compute. Never a wrong
-/// result, never a crash. The final test closes the loop at the flow level:
-/// a run over a corrupted store produces the identical, verified network a
-/// run over an empty store does.
+/// scenario — truncated shard, bit-flipped payload or key, stale format
+/// version, fingerprint mismatch, a seeded soak of random shard mutations —
+/// must degrade to a cold compute. Never a wrong result, never a crash. A
+/// damaged record heals when its key is re-put and flushed. The final test
+/// closes the loop at the flow level: a run over a corrupted store produces
+/// the identical, verified network a run over an empty store does.
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -15,6 +19,7 @@
 #include "gtest/gtest.h"
 #include "mcnc/benchmarks.hpp"
 #include "runtime/npn_cache.hpp"
+#include "store/codec.hpp"
 #include "store/persistent_cache.hpp"
 #include "tt/truth_table.hpp"
 
@@ -88,6 +93,22 @@ void write_file(const fs::path& path, const std::vector<std::uint8_t>& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(reinterpret_cast<const char*>(bytes.data()),
             static_cast<std::streamsize>(bytes.size()));
+}
+
+/// The shard a serialized key lives in (the store's own placement rule).
+std::size_t shard_of(const std::vector<std::uint8_t>& key_bytes) {
+  return fnv1a_bytes(key_bytes.data(), key_bytes.size()) %
+         static_cast<std::size_t>(PersistentStore::kNumShards);
+}
+
+/// \p key with one minterm toggled: bits 0-15 of the onset, then 16-31 of
+/// the dcset. Never equal to another key_n key, whose onsets hold exactly two
+/// minterms and whose dcsets are empty.
+NpnCacheKey neighbour(const NpnCacheKey& key, std::size_t bit) {
+  NpnCacheKey other = key;
+  TruthTable& table = bit < 16 ? other.on : other.dc;
+  table.set_bit(bit % 16, !table.bit(bit % 16));
+  return other;
 }
 
 /// After damage, the store must still open, serve only valid records, and
@@ -193,6 +214,155 @@ TEST(StoreCorruptionTest, ArtifactFingerprintMismatchCountsCorrupt) {
     }
     EXPECT_LT(hits, static_cast<std::uint64_t>(kEntries));
     EXPECT_GE(store.counters().corrupt_records, shards.size());
+  }
+  fs::remove_all(dir);
+}
+
+TEST(StoreCorruptionTest, FlippedKeyBitNeverServesAnotherKeysTemplate) {
+  const fs::path dir = temp_dir("keyflip");
+  populate(dir);
+  // Overwrite each stored key with a single-bit neighbour that maps to the
+  // same shard, so a lookup of the neighbour reaches the damaged record;
+  // the checksum over key and payload must reject it.
+  std::vector<NpnCacheKey> flipped;
+  for (int i = 0; i < kEntries; ++i) {
+    const std::vector<std::uint8_t> stored = serialize_key(key_n(i));
+    for (std::size_t bit = 0; bit < 32; ++bit) {
+      const NpnCacheKey other = neighbour(key_n(i), bit);
+      const std::vector<std::uint8_t> other_bytes = serialize_key(other);
+      if (shard_of(other_bytes) != shard_of(stored)) continue;
+      const fs::path shard =
+          dir / ("shard-" + std::to_string(shard_of(stored)) + ".bin");
+      std::vector<std::uint8_t> bytes = read_file(shard);
+      const auto at =
+          std::search(bytes.begin(), bytes.end(), stored.begin(), stored.end());
+      ASSERT_NE(at, bytes.end());
+      std::copy(other_bytes.begin(), other_bytes.end(), at);
+      write_file(shard, bytes);
+      flipped.push_back(other);
+      break;
+    }
+  }
+  ASSERT_FALSE(flipped.empty());
+
+  PersistentStore store(StoreOptions{dir.string(), false, 0});
+  for (const NpnCacheKey& key : flipped) {
+    EXPECT_FALSE(store.lookup(key).has_value())
+        << "a flipped key was served another key's template";
+  }
+  EXPECT_EQ(store.counters().corrupt_records, flipped.size());
+  fs::remove_all(dir);
+}
+
+/// Session 2 looks every key up, re-puts the \p damaged ones that miss and
+/// flushes; session 3 must then hit every key with no corrupt record left.
+void expect_reput_heals(const fs::path& dir, std::uint64_t damaged) {
+  {
+    PersistentStore store(StoreOptions{dir.string(), false, 0});
+    for (int i = 0; i < kEntries; ++i) {
+      if (!store.lookup(key_n(i)).has_value()) store.put(key_n(i), value_n(i));
+    }
+    EXPECT_EQ(store.counters().corrupt_records, damaged);
+    EXPECT_EQ(store.counters().appends, damaged);
+    ASSERT_TRUE(store.flush());
+  }
+  PersistentStore healed(StoreOptions{dir.string(), false, 0});
+  for (int i = 0; i < kEntries; ++i) {
+    const auto entry = healed.lookup(key_n(i));
+    ASSERT_TRUE(entry.has_value()) << "key " << i << " was not healed";
+    EXPECT_EQ(entry->stats.decomposition_steps, i);
+  }
+  EXPECT_EQ(healed.counters().corrupt_records, 0u);
+}
+
+TEST(StoreCorruptionTest, RePutHealsACorruptRecord) {
+  const fs::path dir = temp_dir("heal");
+  const auto shards = populate(dir);
+  for (const fs::path& shard : shards) {
+    std::vector<std::uint8_t> bytes = read_file(shard);
+    bytes.back() ^= 0x01;  // the last record's payload: checksum fails
+    write_file(shard, bytes);
+  }
+  expect_reput_heals(dir, shards.size());
+  fs::remove_all(dir);
+}
+
+TEST(StoreCorruptionTest, RePutUpgradesAVersionOneArtifact) {
+  const fs::path dir = temp_dir("upgrade");
+  const std::vector<std::uint8_t> magic = {'H', 'Y', 'A', 'C'};
+  std::uint64_t artifacts = 0;
+  for (const fs::path& shard : populate(dir)) {
+    std::vector<std::uint8_t> bytes = read_file(shard);
+    // Stamp format version 1 (u16 LE after the artifact magic) on every
+    // artifact in the shard.
+    for (auto at = bytes.begin();
+         (at = std::search(at, bytes.end(), magic.begin(), magic.end())) !=
+         bytes.end();
+         at += 4) {
+      at[4] = 1;
+      at[5] = 0;
+      ++artifacts;
+    }
+    write_file(shard, bytes);
+  }
+  ASSERT_EQ(artifacts, static_cast<std::uint64_t>(kEntries));
+  expect_reput_heals(dir, artifacts);
+  fs::remove_all(dir);
+}
+
+TEST(StoreCorruptionTest, SeededShardMutationSoakServesOnlyStoredValues) {
+  const fs::path dir = temp_dir("soak");
+  const auto shards = populate(dir);
+  std::vector<std::vector<std::uint8_t>> originals;
+  for (const fs::path& shard : shards) originals.push_back(read_file(shard));
+
+  std::mt19937_64 rng(0x50A4u);
+  const auto below = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng() % n);
+  };
+  for (int m = 0; m < 320; ++m) {
+    const std::size_t target = below(shards.size());
+    std::vector<std::uint8_t> bytes = originals[target];
+    const std::size_t at = below(bytes.size());
+    std::vector<std::uint8_t> run;  // bytes to insert at `at`
+    switch (m % 4) {
+      case 0:  // single-bit flip
+        bytes[at] = static_cast<std::uint8_t>(bytes[at] ^ (1u << below(8)));
+        break;
+      case 1:  // truncation
+        bytes.resize(at);
+        break;
+      case 2:  // inserted run of arbitrary bytes
+        run.resize(1 + below(16));
+        for (std::uint8_t& b : run) b = static_cast<std::uint8_t>(rng());
+        break;
+      default: {  // duplicated run of the shard's own bytes
+        const std::size_t from = below(bytes.size());
+        const std::size_t length =
+            1 + below(std::min<std::size_t>(64, bytes.size() - from));
+        run.assign(bytes.begin() + static_cast<std::ptrdiff_t>(from),
+                   bytes.begin() + static_cast<std::ptrdiff_t>(from + length));
+      }
+    }
+    bytes.insert(bytes.begin() + static_cast<std::ptrdiff_t>(at), run.begin(),
+                 run.end());
+    write_file(shards[target], bytes);
+
+    SCOPED_TRACE("mutation " + std::to_string(m) + " at offset " +
+                 std::to_string(at) + " of " +
+                 shards[target].filename().string());
+    PersistentStore store(StoreOptions{dir.string(), true, 0});
+    ASSERT_TRUE(store.ok());
+    for (int i = 0; i < kEntries; ++i) {
+      const auto entry = store.lookup(key_n(i));
+      if (entry.has_value()) {
+        EXPECT_EQ(serialize_template(*entry), serialize_template(value_n(i)));
+      }
+      for (std::size_t bit = 0; bit < 32; ++bit) {
+        EXPECT_FALSE(store.lookup(neighbour(key_n(i), bit)).has_value());
+      }
+    }
+    write_file(shards[target], originals[target]);
   }
   fs::remove_all(dir);
 }
