@@ -384,17 +384,18 @@ int run_batch_mode(const std::string& system_name, int k, int workers,
   if (profile) {
     std::printf("\nsearch engine: %llu selects, %llu candidates evaluated, "
                 "%llu memo hits, %llu memo clears\n",
-                static_cast<unsigned long long>(report.search.selects),
+                static_cast<unsigned long long>(report.totals.search_selects),
                 static_cast<unsigned long long>(
-                    report.search.candidates_evaluated),
-                static_cast<unsigned long long>(report.search.memo_hits),
-                static_cast<unsigned long long>(report.search.memo_clears));
+                    report.totals.search_candidates_evaluated),
+                static_cast<unsigned long long>(report.totals.search_memo_hits),
+                static_cast<unsigned long long>(
+                    report.totals.search_memo_clears));
   }
   std::printf("\n%zu jobs in %.2fs wall on %d workers\n", report.jobs.size(),
               report.wall_seconds, report.workers);
   std::printf("NPN cache: %llu lookups, %llu unique functions, "
               "%llu hits / %llu misses observed (%.1f%% hit rate)\n",
-              static_cast<unsigned long long>(report.cache.flow_lookups),
+              static_cast<unsigned long long>(report.totals.cache_lookups),
               static_cast<unsigned long long>(report.cache.unique_functions),
               static_cast<unsigned long long>(report.cache.hits),
               static_cast<unsigned long long>(report.cache.misses),

@@ -260,10 +260,7 @@ class Decomposer {
     }
     // Identical on hits and misses, so FlowStats (and the encoder seeds they
     // feed) never depend on which job populated the cache first.
-    stats_.decomposition_steps += entry->stats.decomposition_steps;
-    stats_.shannon_fallbacks += entry->stats.shannon_fallbacks;
-    stats_.encoder_runs += entry->stats.encoder_runs;
-    stats_.encoder_random_kept += entry->stats.encoder_random_kept;
+    stats_.absorb_template_stats(entry->stats);
     return instantiate(*entry, canon.transform, support);
   }
 
@@ -317,8 +314,7 @@ class Decomposer {
     // so the deterministic cached entry.stats never carries them.
     stats_.absorb_bdd_stats(tm.stats());
     sub_stats.absorb_search_stats(sub.search().stats());
-    sub_stats.class_signature_pairs += sub.class_stats()->signature_pairs;
-    sub_stats.class_bdd_pairs += sub.class_stats()->bdd_pairs;
+    sub_stats.absorb_class_stats(*sub.class_stats());
     stats_.absorb_search_and_phases(sub_stats);
     return entry;
   }
@@ -601,21 +597,7 @@ FlowResult run_flow(const net::Network& input, const FlowOptions& options,
     // Re-apply the flow to its own output (external DCs only make sense on
     // the original interface, so they only feed the first pass).
     FlowResult next = run_flow_once(result.network, options, nullptr);
-    next.stats.decomposition_steps += result.stats.decomposition_steps;
-    next.stats.shannon_fallbacks += result.stats.shannon_fallbacks;
-    next.stats.hyper_groups += result.stats.hyper_groups;
-    next.stats.encoder_runs += result.stats.encoder_runs;
-    next.stats.encoder_random_kept += result.stats.encoder_random_kept;
-    next.stats.cache_lookups += result.stats.cache_lookups;
-    next.stats.bdd_cache_hits += result.stats.bdd_cache_hits;
-    next.stats.bdd_cache_misses += result.stats.bdd_cache_misses;
-    next.stats.bdd_cache_overwrites += result.stats.bdd_cache_overwrites;
-    next.stats.bdd_gc_runs += result.stats.bdd_gc_runs;
-    next.stats.bdd_reorder_runs += result.stats.bdd_reorder_runs;
-    next.stats.bdd_peak_live_nodes =
-        std::max(next.stats.bdd_peak_live_nodes,
-                 result.stats.bdd_peak_live_nodes);
-    next.stats.absorb_search_and_phases(result.stats);
+    next.stats.merge(result.stats);
     result = std::move(next);
   }
   return result;
@@ -840,8 +822,7 @@ FlowResult run_flow_once(const net::Network& input, const FlowOptions& options,
   out.drop_unused_inputs(ppi_nodes);
   stats.absorb_bdd_stats(gm.stats());
   stats.absorb_search_stats(decomposer.search().stats());
-  stats.class_signature_pairs += decomposer.class_stats()->signature_pairs;
-  stats.class_bdd_pairs += decomposer.class_stats()->bdd_pairs;
+  stats.absorb_class_stats(*decomposer.class_stats());
   return result;
 }
 }  // namespace

@@ -28,6 +28,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -36,6 +37,7 @@
 #include "bdd/bdd.hpp"
 #include "core/decomp_cache.hpp"
 #include "core/encoder.hpp"
+#include "decomp/compatible.hpp"
 #include "decomp/search.hpp"
 #include "core/hyper.hpp"
 #include "net/network.hpp"
@@ -202,6 +204,15 @@ struct FlowStats {
     }
   }
 
+  /// Adds a cached template's decision counters, identically on NPN-cache
+  /// hits and misses.
+  void absorb_template_stats(const TemplateStats& t) {
+    decomposition_steps += t.decomposition_steps;
+    shannon_fallbacks += t.shannon_fallbacks;
+    encoder_runs += t.encoder_runs;
+    encoder_random_kept += t.encoder_random_kept;
+  }
+
   /// Folds one search engine's counters into the flow totals; the engine's
   /// self-timed wall clock is the varpart phase.
   void absorb_search_stats(const decomp::SearchStats& s) {
@@ -212,8 +223,15 @@ struct FlowStats {
     varpart_seconds += s.seconds;
   }
 
-  /// Folds another flow's search counters and phase timings into this one
-  /// (multi-pass accumulation, NPN-template sub-flows).
+  /// Folds one class computation's pair counters into the flow totals.
+  void absorb_class_stats(const decomp::ClassStats& s) {
+    class_signature_pairs += s.signature_pairs;
+    class_bdd_pairs += s.bdd_pairs;
+  }
+
+  /// Folds another flow's volatile search, class and store counters and its
+  /// phase timings into this one (NPN-template sub-flows, whose decision
+  /// counters live in the shared template instead).
   void absorb_search_and_phases(const FlowStats& s) {
     search_selects += s.search_selects;
     search_candidates_evaluated += s.search_candidates_evaluated;
@@ -227,6 +245,47 @@ struct FlowStats {
     classes_seconds += s.classes_seconds;
     encoding_seconds += s.encoding_seconds;
     mapping_seconds += s.mapping_seconds;
+  }
+
+  /// Folds another flow's stats into this one: the passes of a multi-pass
+  /// flow, the windows of a windowed flow, the jobs of a batch. Counts and
+  /// seconds add; peaks take the max; the slowest window keeps its index
+  /// (a tie keeps this one's); collapse_mode stays this flow's own.
+  void merge(const FlowStats& s) {
+    decomposition_steps += s.decomposition_steps;
+    shannon_fallbacks += s.shannon_fallbacks;
+    hyper_groups += s.hyper_groups;
+    encoder_runs += s.encoder_runs;
+    encoder_random_kept += s.encoder_random_kept;
+    cache_lookups += s.cache_lookups;
+    bdd_cache_hits += s.bdd_cache_hits;
+    bdd_cache_misses += s.bdd_cache_misses;
+    bdd_cache_overwrites += s.bdd_cache_overwrites;
+    bdd_gc_runs += s.bdd_gc_runs;
+    bdd_reorder_runs += s.bdd_reorder_runs;
+    bdd_peak_live_nodes = std::max(bdd_peak_live_nodes, s.bdd_peak_live_nodes);
+    search_candidates_pruned += s.search_candidates_pruned;
+    windows_extracted += s.windows_extracted;
+    windows_resynthesized += s.windows_resynthesized;
+    windows_passthrough += s.windows_passthrough;
+    windows_budget_fallbacks += s.windows_budget_fallbacks;
+    windows_split += s.windows_split;
+    windows_verify_failures += s.windows_verify_failures;
+    window_peak_inputs = std::max(window_peak_inputs, s.window_peak_inputs);
+    window_peak_nodes = std::max(window_peak_nodes, s.window_peak_nodes);
+    window_extract_seconds += s.window_extract_seconds;
+    window_stitch_seconds += s.window_stitch_seconds;
+    windows_extract_parallel += s.windows_extract_parallel;
+    window_steals += s.window_steals;
+    window_workers = std::max(window_workers, s.window_workers);
+    window_worker_busy_seconds += s.window_worker_busy_seconds;
+    window_worker_busy_peak_seconds = std::max(
+        window_worker_busy_peak_seconds, s.window_worker_busy_peak_seconds);
+    if (s.window_max_seconds > window_max_seconds) {
+      window_max_seconds = s.window_max_seconds;
+      window_max_index = s.window_max_index;
+    }
+    absorb_search_and_phases(s);
   }
 };
 

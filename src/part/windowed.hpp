@@ -63,8 +63,9 @@ struct WindowedFlowOptions {
 
 struct WindowedFlowResult {
   net::Network network;
-  /// Per-window FlowStats summed in window-index order, plus the windows_*
-  /// counters (extraction, fallbacks, peaks, phase wall-clock).
+  /// Per-window FlowStats merged (core::FlowStats::merge) in window-index
+  /// order, plus the windows_* counters (extraction, fallbacks, peaks, phase
+  /// wall-clock).
   core::FlowStats stats;
 };
 

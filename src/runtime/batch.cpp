@@ -1,6 +1,5 @@
 #include "runtime/batch.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <exception>
@@ -209,52 +208,7 @@ RunReport run_batch(const std::vector<BatchJob>& jobs,
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
 
-  for (const JobReport& job : report.jobs) {
-    report.cache.flow_lookups +=
-        static_cast<std::uint64_t>(job.stats.cache_lookups);
-    report.bdd.cache_hits += job.stats.bdd_cache_hits;
-    report.bdd.cache_misses += job.stats.bdd_cache_misses;
-    report.bdd.cache_overwrites += job.stats.bdd_cache_overwrites;
-    report.bdd.gc_runs += job.stats.bdd_gc_runs;
-    report.bdd.reorder_runs += job.stats.bdd_reorder_runs;
-    if (job.stats.bdd_peak_live_nodes > report.bdd.peak_live_nodes) {
-      report.bdd.peak_live_nodes = job.stats.bdd_peak_live_nodes;
-    }
-    report.search.selects += job.stats.search_selects;
-    report.search.candidates_evaluated += job.stats.search_candidates_evaluated;
-    report.search.memo_hits += job.stats.search_memo_hits;
-    report.search.memo_clears += job.stats.search_memo_clears;
-    report.classes.signature_pairs += job.stats.class_signature_pairs;
-    report.classes.bdd_pairs += job.stats.class_bdd_pairs;
-    report.windows.extracted +=
-        static_cast<std::uint64_t>(job.stats.windows_extracted);
-    report.windows.resynthesized +=
-        static_cast<std::uint64_t>(job.stats.windows_resynthesized);
-    report.windows.passthrough +=
-        static_cast<std::uint64_t>(job.stats.windows_passthrough);
-    report.windows.budget_fallbacks +=
-        static_cast<std::uint64_t>(job.stats.windows_budget_fallbacks);
-    report.windows.split +=
-        static_cast<std::uint64_t>(job.stats.windows_split);
-    report.windows.verify_failures +=
-        static_cast<std::uint64_t>(job.stats.windows_verify_failures);
-    report.windows.peak_inputs =
-        std::max(report.windows.peak_inputs, job.stats.window_peak_inputs);
-    report.windows.peak_nodes =
-        std::max(report.windows.peak_nodes, job.stats.window_peak_nodes);
-    report.windows.extract_parallel +=
-        static_cast<std::uint64_t>(job.stats.windows_extract_parallel);
-    report.windows.steals += job.stats.window_steals;
-    report.windows.workers =
-        std::max(report.windows.workers, job.stats.window_workers);
-    report.windows.worker_busy_seconds += job.stats.window_worker_busy_seconds;
-    report.windows.worker_busy_peak_seconds =
-        std::max(report.windows.worker_busy_peak_seconds,
-                 job.stats.window_worker_busy_peak_seconds);
-    report.windows.max_window_seconds =
-        std::max(report.windows.max_window_seconds,
-                 job.stats.window_max_seconds);
-  }
+  for (const JobReport& job : report.jobs) report.totals.merge(job.stats);
   report.cache.unique_functions = cache.size();
   const NpnCacheCounters counters = cache.counters();
   report.cache.hits = counters.hits;

@@ -41,6 +41,58 @@ std::string format_double(double value) {
   return buf;
 }
 
+/// Writes the volatile engine blocks of \p s (bdd, search, classes, store,
+/// profile) as JSON members separated by \p sep.
+void append_volatile_stats(std::string& out, const core::FlowStats& s,
+                           const char* sep) {
+  out += "\"bdd\": {";
+  out += "\"cache_hits\": " + std::to_string(s.bdd_cache_hits);
+  out += ", \"cache_misses\": " + std::to_string(s.bdd_cache_misses);
+  out += ", \"cache_overwrites\": " + std::to_string(s.bdd_cache_overwrites);
+  out += ", \"gc_runs\": " + std::to_string(s.bdd_gc_runs);
+  out += ", \"reorder_runs\": " + std::to_string(s.bdd_reorder_runs);
+  out += ", \"peak_live_nodes\": " + std::to_string(s.bdd_peak_live_nodes);
+  out += "}";
+  out += sep;
+  out += "\"search\": {";
+  out += "\"selects\": " + std::to_string(s.search_selects);
+  out += ", \"candidates_evaluated\": " +
+         std::to_string(s.search_candidates_evaluated);
+  out += ", \"memo_hits\": " + std::to_string(s.search_memo_hits);
+  out += ", \"memo_clears\": " + std::to_string(s.search_memo_clears);
+  out += "}";
+  out += sep;
+  out += "\"classes\": {";
+  out += "\"signature_pairs\": " + std::to_string(s.class_signature_pairs);
+  out += ", \"bdd_pairs\": " + std::to_string(s.class_bdd_pairs);
+  out += "}";
+  out += sep;
+  out += "\"store\": {";
+  out += "\"disk_hits\": " + std::to_string(s.store_disk_hits);
+  out += ", \"disk_misses\": " + std::to_string(s.store_disk_misses);
+  out += "}";
+  out += sep;
+  out += "\"profile\": {";
+  out += "\"varpart_seconds\": " + format_double(s.varpart_seconds);
+  out += ", \"classes_seconds\": " + format_double(s.classes_seconds);
+  out += ", \"encoding_seconds\": " + format_double(s.encoding_seconds);
+  out += ", \"mapping_seconds\": " + format_double(s.mapping_seconds);
+  out += "}";
+}
+
+/// A CSV field, quoted as RFC 4180 asks when it holds a separator, a quote
+/// or a line break.
+std::string csv_field(const std::string& s) {
+  if (s.find_first_of(",\"\r\n") == std::string::npos) return s;
+  std::string quoted = "\"";
+  for (char c : s) {
+    if (c == '"') quoted.push_back('"');
+    quoted.push_back(c);
+  }
+  quoted.push_back('"');
+  return quoted;
+}
+
 }  // namespace
 
 std::string to_json(const RunReport& report, bool include_volatile) {
@@ -51,52 +103,9 @@ std::string to_json(const RunReport& report, bool include_volatile) {
   if (include_volatile) {
     out += "  \"workers\": " + std::to_string(report.workers) + ",\n";
     out += "  \"wall_seconds\": " + format_double(report.wall_seconds) + ",\n";
-    out += "  \"bdd_kernel\": {";
-    out += "\"cache_hits\": " + std::to_string(report.bdd.cache_hits);
-    out += ", \"cache_misses\": " + std::to_string(report.bdd.cache_misses);
-    out += ", \"cache_overwrites\": " +
-           std::to_string(report.bdd.cache_overwrites);
-    out += ", \"hit_rate\": " + format_double(report.bdd.hit_rate());
-    out += ", \"gc_runs\": " + std::to_string(report.bdd.gc_runs);
-    out += ", \"reorder_runs\": " + std::to_string(report.bdd.reorder_runs);
-    out += ", \"peak_live_nodes\": " +
-           std::to_string(report.bdd.peak_live_nodes);
-    out += "},\n";
-    out += "  \"search\": {";
-    out += "\"selects\": " + std::to_string(report.search.selects);
-    out += ", \"candidates_evaluated\": " +
-           std::to_string(report.search.candidates_evaluated);
-    out += ", \"memo_hits\": " + std::to_string(report.search.memo_hits);
-    out += ", \"memo_clears\": " + std::to_string(report.search.memo_clears);
-    out += "},\n";
-    out += "  \"classes\": {";
-    out += "\"signature_pairs\": " +
-           std::to_string(report.classes.signature_pairs);
-    out += ", \"bdd_pairs\": " + std::to_string(report.classes.bdd_pairs);
-    out += "},\n";
-    out += "  \"windows\": {";
-    out += "\"extracted\": " + std::to_string(report.windows.extracted);
-    out += ", \"resynthesized\": " +
-           std::to_string(report.windows.resynthesized);
-    out += ", \"passthrough\": " + std::to_string(report.windows.passthrough);
-    out += ", \"budget_fallbacks\": " +
-           std::to_string(report.windows.budget_fallbacks);
-    out += ", \"split\": " + std::to_string(report.windows.split);
-    out += ", \"verify_failures\": " +
-           std::to_string(report.windows.verify_failures);
-    out += ", \"peak_inputs\": " + std::to_string(report.windows.peak_inputs);
-    out += ", \"peak_nodes\": " + std::to_string(report.windows.peak_nodes);
-    out += ", \"extract_parallel\": " +
-           std::to_string(report.windows.extract_parallel);
-    out += ", \"steals\": " + std::to_string(report.windows.steals);
-    out += ", \"workers\": " + std::to_string(report.windows.workers);
-    out += ", \"worker_busy_seconds\": " +
-           format_double(report.windows.worker_busy_seconds);
-    out += ", \"worker_busy_peak_seconds\": " +
-           format_double(report.windows.worker_busy_peak_seconds);
-    out += ", \"max_window_seconds\": " +
-           format_double(report.windows.max_window_seconds);
-    out += "},\n";
+    out += "  \"totals\": {\n    ";
+    append_volatile_stats(out, report.totals, ",\n    ");
+    out += "\n  },\n";
     out += "  \"store\": {";
     out += std::string("\"enabled\": ") +
            (report.store.enabled ? "true" : "false");
@@ -119,7 +128,7 @@ std::string to_json(const RunReport& report, bool include_volatile) {
   out += std::string("    \"enabled\": ") +
          (report.cache.enabled ? "true" : "false") + ",\n";
   out += "    \"max_support\": " + std::to_string(report.cache.max_support) + ",\n";
-  out += "    \"flow_lookups\": " + std::to_string(report.cache.flow_lookups);
+  out += "    \"flow_lookups\": " + std::to_string(report.totals.cache_lookups);
   // The memory tier's distinct-function count is a pure function of the job
   // list only while no persistent tier exists; with a store attached, disk
   // promotions and whole-job replays legitimately change which keys the
@@ -171,78 +180,8 @@ std::string to_json(const RunReport& report, bool include_volatile) {
     out += "}";
     if (include_volatile) {
       out += ",\n      \"seconds\": " + format_double(job.seconds);
-      out += ",\n      \"bdd\": {";
-      out += "\"cache_hits\": " + std::to_string(job.stats.bdd_cache_hits);
-      out += ", \"cache_misses\": " +
-             std::to_string(job.stats.bdd_cache_misses);
-      out += ", \"cache_overwrites\": " +
-             std::to_string(job.stats.bdd_cache_overwrites);
-      out += ", \"gc_runs\": " + std::to_string(job.stats.bdd_gc_runs);
-      out += ", \"reorder_runs\": " +
-             std::to_string(job.stats.bdd_reorder_runs);
-      out += ", \"peak_live_nodes\": " +
-             std::to_string(job.stats.bdd_peak_live_nodes);
-      out += "}";
-      out += ",\n      \"search\": {";
-      out += "\"selects\": " + std::to_string(job.stats.search_selects);
-      out += ", \"candidates_evaluated\": " +
-             std::to_string(job.stats.search_candidates_evaluated);
-      out += ", \"memo_hits\": " + std::to_string(job.stats.search_memo_hits);
-      out += ", \"memo_clears\": " +
-             std::to_string(job.stats.search_memo_clears);
-      out += "}";
-      out += ",\n      \"classes\": {";
-      out += "\"signature_pairs\": " +
-             std::to_string(job.stats.class_signature_pairs);
-      out += ", \"bdd_pairs\": " + std::to_string(job.stats.class_bdd_pairs);
-      out += "}";
-      out += ",\n      \"windows\": {";
-      out += "\"extracted\": " + std::to_string(job.stats.windows_extracted);
-      out += ", \"resynthesized\": " +
-             std::to_string(job.stats.windows_resynthesized);
-      out += ", \"passthrough\": " +
-             std::to_string(job.stats.windows_passthrough);
-      out += ", \"budget_fallbacks\": " +
-             std::to_string(job.stats.windows_budget_fallbacks);
-      out += ", \"split\": " + std::to_string(job.stats.windows_split);
-      out += ", \"verify_failures\": " +
-             std::to_string(job.stats.windows_verify_failures);
-      out += ", \"peak_inputs\": " +
-             std::to_string(job.stats.window_peak_inputs);
-      out += ", \"peak_nodes\": " +
-             std::to_string(job.stats.window_peak_nodes);
-      out += ", \"extract_seconds\": " +
-             format_double(job.stats.window_extract_seconds);
-      out += ", \"stitch_seconds\": " +
-             format_double(job.stats.window_stitch_seconds);
-      out += ", \"extract_parallel\": " +
-             std::to_string(job.stats.windows_extract_parallel);
-      out += ", \"steals\": " + std::to_string(job.stats.window_steals);
-      out += ", \"workers\": " + std::to_string(job.stats.window_workers);
-      out += ", \"worker_busy_seconds\": " +
-             format_double(job.stats.window_worker_busy_seconds);
-      out += ", \"worker_busy_peak_seconds\": " +
-             format_double(job.stats.window_worker_busy_peak_seconds);
-      out += ", \"max_window_seconds\": " +
-             format_double(job.stats.window_max_seconds);
-      out += ", \"max_window_index\": " +
-             std::to_string(job.stats.window_max_index);
-      out += "}";
-      out += ",\n      \"store\": {";
-      out += "\"disk_hits\": " + std::to_string(job.stats.store_disk_hits);
-      out += ", \"disk_misses\": " +
-             std::to_string(job.stats.store_disk_misses);
-      out += "}";
-      out += ",\n      \"profile\": {";
-      out += "\"varpart_seconds\": " +
-             format_double(job.stats.varpart_seconds);
-      out += ", \"classes_seconds\": " +
-             format_double(job.stats.classes_seconds);
-      out += ", \"encoding_seconds\": " +
-             format_double(job.stats.encoding_seconds);
-      out += ", \"mapping_seconds\": " +
-             format_double(job.stats.mapping_seconds);
-      out += "}";
+      out += ",\n      ";
+      append_volatile_stats(out, job.stats, ",\n      ");
     }
     out += "\n    }";
     out += i + 1 < report.jobs.size() ? ",\n" : "\n";
@@ -262,15 +201,13 @@ std::string to_csv(const RunReport& report) {
       "search_selects,search_evaluated,search_memo_hits,"
       "varpart_seconds,classes_seconds,encoding_seconds,mapping_seconds,"
       "class_signature_pairs,class_bdd_pairs,"
-      "windows_extracted,windows_resynthesized,windows_passthrough,"
-      "windows_budget_fallbacks,windows_split,windows_verify_failures,"
-      "windows_extract_parallel,window_steals,window_max_seconds,"
       "store_disk_hits,store_disk_misses\n";
   for (const JobReport& job : report.jobs) {
-    out += job.circuit + "," + job.system + "," + std::to_string(job.k) + "," +
+    out += csv_field(job.circuit) + "," + csv_field(job.system) + "," +
+           std::to_string(job.k) + "," +
            std::to_string(job.seed) + "," + std::to_string(job.luts) + "," +
            std::to_string(job.clbs) + "," + std::to_string(job.depth) + "," +
-           (job.verified ? "1" : "0") + "," + job.error + "," +
+           (job.verified ? "1" : "0") + "," + csv_field(job.error) + "," +
            std::to_string(job.stats.decomposition_steps) + "," +
            std::to_string(job.stats.shannon_fallbacks) + "," +
            std::to_string(job.stats.hyper_groups) + "," +
@@ -293,15 +230,6 @@ std::string to_csv(const RunReport& report) {
            format_double(job.stats.mapping_seconds) + "," +
            std::to_string(job.stats.class_signature_pairs) + "," +
            std::to_string(job.stats.class_bdd_pairs) + "," +
-           std::to_string(job.stats.windows_extracted) + "," +
-           std::to_string(job.stats.windows_resynthesized) + "," +
-           std::to_string(job.stats.windows_passthrough) + "," +
-           std::to_string(job.stats.windows_budget_fallbacks) + "," +
-           std::to_string(job.stats.windows_split) + "," +
-           std::to_string(job.stats.windows_verify_failures) + "," +
-           std::to_string(job.stats.windows_extract_parallel) + "," +
-           std::to_string(job.stats.window_steals) + "," +
-           format_double(job.stats.window_max_seconds) + "," +
            std::to_string(job.stats.store_disk_hits) + "," +
            std::to_string(job.stats.store_disk_misses) + "\n";
   }

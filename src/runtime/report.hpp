@@ -43,8 +43,6 @@ struct JobReport {
 struct CacheReport {
   bool enabled = false;
   int max_support = 0;
-  /// Deterministic: total cache consultations summed over job FlowStats.
-  std::uint64_t flow_lookups = 0;
   /// Distinct memoized functions (the needed-key closure). Deterministic for
   /// memory-only runs; volatile once a persistent store is attached, because
   /// disk promotions and whole-job replays change which keys reach the
@@ -75,76 +73,16 @@ struct StoreReport : store::StoreCounters {
   double codec_ratio() const { return appends == 0 ? 0.0 : 1.0; }
 };
 
-/// Aggregated BDD-kernel figures for the whole batch (all volatile: with the
-/// NPN cache on, which job pays for a template's BDD work depends on which
-/// worker missed first, so per-job and summed kernel counters move with
-/// scheduling).
-struct BddKernelReport {
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  std::uint64_t cache_overwrites = 0;
-  std::uint64_t gc_runs = 0;
-  std::uint64_t reorder_runs = 0;
-  std::uint64_t peak_live_nodes = 0;  ///< max over all managers in the batch
-
-  double hit_rate() const {
-    const std::uint64_t total = cache_hits + cache_misses;
-    return total == 0 ? 0.0
-                      : static_cast<double>(cache_hits) /
-                            static_cast<double>(total);
-  }
-};
-
-/// Aggregated bound-set search engine figures for the whole batch (all
-/// volatile: memo hit patterns move with NPN-cache timing, even though the
-/// selected bound sets never do).
-struct SearchReport {
-  std::uint64_t selects = 0;
-  std::uint64_t candidates_evaluated = 0;
-  std::uint64_t memo_hits = 0;
-  std::uint64_t memo_clears = 0;
-};
-
-/// Aggregated class-computation figures for the whole batch (volatile: they
-/// record which compatibility path decided each column pair, never anything
-/// the results depend on).
-struct ClassesReport {
-  std::uint64_t signature_pairs = 0;
-  std::uint64_t bdd_pairs = 0;
-};
-
-/// Aggregated windowed-engine figures for the whole batch (reported in the
-/// volatile sections next to the other engine blocks, though the counters
-/// themselves are schedule-independent — see core::FlowStats).
-struct WindowsReport {
-  std::uint64_t extracted = 0;
-  std::uint64_t resynthesized = 0;
-  std::uint64_t passthrough = 0;
-  std::uint64_t budget_fallbacks = 0;
-  std::uint64_t split = 0;
-  std::uint64_t verify_failures = 0;
-  int peak_inputs = 0;  ///< max over jobs
-  int peak_nodes = 0;   ///< max over jobs
-  // Scheduling telemetry (genuinely volatile: thread count, steal pattern
-  // and wall clock).
-  std::uint64_t extract_parallel = 0;  ///< snapshots materialized on workers
-  std::uint64_t steals = 0;            ///< window tasks stolen across deques
-  int workers = 0;                     ///< max scheduler workers over jobs
-  double worker_busy_seconds = 0.0;       ///< summed worker busy time
-  double worker_busy_peak_seconds = 0.0;  ///< busiest single worker, max over jobs
-  double max_window_seconds = 0.0;  ///< slowest single window over the batch
-};
-
 struct RunReport {
   int verify_vectors = 0;
   std::vector<JobReport> jobs;  ///< submission order, independent of finish order
   CacheReport cache;
-  StoreReport store;         ///< volatile; persistent-cache runs only
-  BddKernelReport bdd;       ///< volatile
-  SearchReport search;       ///< volatile
-  ClassesReport classes;     ///< volatile
-  WindowsReport windows;     ///< volatile section; windowed jobs only
-  int workers = 1;           ///< volatile
+  StoreReport store;  ///< volatile; persistent-cache runs only
+  /// Every job's stats merged (core::FlowStats::merge) in submission order.
+  /// JSON emits its `cache_lookups` as the deterministic `cache.flow_lookups`
+  /// and its engine counters in the volatile `totals` object.
+  core::FlowStats totals;
+  int workers = 1;            ///< volatile
   double wall_seconds = 0.0;  ///< volatile
 
   bool all_ok() const {
@@ -159,7 +97,8 @@ struct RunReport {
 /// is bit-identical across worker counts and schedules for the same batch.
 std::string to_json(const RunReport& report, bool include_volatile = true);
 
-/// One CSV row per job (header included; volatile seconds column last).
+/// One CSV row per job, header first. Fields holding a comma, a quote or a
+/// line break are quoted as RFC 4180 asks.
 std::string to_csv(const RunReport& report);
 
 }  // namespace hyde::runtime

@@ -51,5 +51,36 @@ TEST(MultiPass, StatsAccumulateAcrossPasses) {
   EXPECT_GE(b.stats.decomposition_steps, a.stats.decomposition_steps);
 }
 
+TEST(MultiPass, TwoPassStatsAreTheMergedOnePassRuns) {
+  for (const char* name : {"rd73", "misex1"}) {
+    const auto input = mcnc::make_circuit(name);
+    const FlowOptions one_pass = hyde_options(5);
+    FlowOptions two_pass = one_pass;
+    two_pass.passes = 2;
+    const auto first = run_flow(input, one_pass);
+    const auto second = run_flow(first.network, one_pass);
+    const auto both = run_flow(input, two_pass);
+
+    FlowStats expected = second.stats;
+    expected.merge(first.stats);
+    EXPECT_EQ(both.stats.decomposition_steps,
+              first.stats.decomposition_steps +
+                  second.stats.decomposition_steps)
+        << name;
+    EXPECT_EQ(both.stats.decomposition_steps, expected.decomposition_steps)
+        << name;
+    EXPECT_EQ(both.stats.shannon_fallbacks, expected.shannon_fallbacks) << name;
+    EXPECT_EQ(both.stats.hyper_groups, expected.hyper_groups) << name;
+    EXPECT_EQ(both.stats.encoder_runs, expected.encoder_runs) << name;
+    EXPECT_EQ(both.stats.encoder_random_kept, expected.encoder_random_kept)
+        << name;
+    EXPECT_EQ(both.stats.cache_lookups, expected.cache_lookups) << name;
+    EXPECT_EQ(both.stats.collapse_mode, second.stats.collapse_mode) << name;
+    EXPECT_EQ(both.stats.search_selects,
+              first.stats.search_selects + second.stats.search_selects)
+        << name;
+  }
+}
+
 }  // namespace
 }  // namespace hyde::core

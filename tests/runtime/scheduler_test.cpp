@@ -7,6 +7,7 @@
 
 #include "runtime/scheduler.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -169,7 +170,7 @@ TEST(BatchDeterminismTest, OneWorkerAndFourWorkersAgreeBitForBit) {
   const RunReport b = run_batch(jobs, parallel);
   EXPECT_TRUE(a.all_ok());
   EXPECT_TRUE(b.all_ok());
-  EXPECT_GT(a.cache.flow_lookups, 0u);
+  EXPECT_GT(a.totals.cache_lookups, 0);
 
   // The deterministic JSON subset (results, stats, seeds, cache closure) is
   // bit-identical; only wall-clock/worker/observed-traffic fields may differ.
@@ -197,6 +198,112 @@ TEST(BatchDeterminismTest, CacheOffStillDeterministicAndErrorsAreCaptured) {
   EXPECT_NE(json.find("no_such_circuit"), std::string::npos);
   const std::string csv = to_csv(report);
   EXPECT_NE(csv.find("rd73"), std::string::npos);
+}
+
+/// Deterministic FlowStats counters of \p s, for comparing two batch runs.
+std::vector<std::uint64_t> deterministic_counters(const core::FlowStats& s) {
+  return {static_cast<std::uint64_t>(s.decomposition_steps),
+          static_cast<std::uint64_t>(s.shannon_fallbacks),
+          static_cast<std::uint64_t>(s.hyper_groups),
+          static_cast<std::uint64_t>(s.encoder_runs),
+          static_cast<std::uint64_t>(s.encoder_random_kept),
+          static_cast<std::uint64_t>(s.cache_lookups)};
+}
+
+TEST(BatchDeterminismTest, TotalsAreTheJobsStatsMerged) {
+  const std::vector<BatchJob> jobs = suite_jobs(
+      {"rd73", "misex1", "z4ml"},
+      {baseline::System::kHyde, baseline::System::kImodecLike}, 5, 1);
+  BatchOptions serial;
+  serial.workers = 1;
+  BatchOptions parallel = serial;
+  parallel.workers = 4;
+  const RunReport a = run_batch(jobs, serial);
+  const RunReport b = run_batch(jobs, parallel);
+  ASSERT_TRUE(a.all_ok());
+  ASSERT_TRUE(b.all_ok());
+
+  for (const RunReport* report : {&a, &b}) {
+    int steps = 0;
+    int lookups = 0;
+    std::uint64_t bdd_hits = 0;
+    std::uint64_t selects = 0;
+    std::uint64_t peak = 0;
+    std::uint64_t peak_sum = 0;
+    for (const JobReport& job : report->jobs) {
+      steps += job.stats.decomposition_steps;
+      lookups += job.stats.cache_lookups;
+      bdd_hits += job.stats.bdd_cache_hits;
+      selects += job.stats.search_selects;
+      peak = std::max(peak, job.stats.bdd_peak_live_nodes);
+      peak_sum += job.stats.bdd_peak_live_nodes;
+    }
+    EXPECT_EQ(report->totals.decomposition_steps, steps);
+    EXPECT_EQ(report->totals.cache_lookups, lookups);
+    EXPECT_EQ(report->totals.bdd_cache_hits, bdd_hits);
+    EXPECT_EQ(report->totals.search_selects, selects);
+    EXPECT_EQ(report->totals.bdd_peak_live_nodes, peak);
+    EXPECT_LT(report->totals.bdd_peak_live_nodes, peak_sum);
+    EXPECT_FALSE(report->totals.collapse_mode);
+  }
+  EXPECT_GT(a.totals.cache_lookups, 0);
+  EXPECT_EQ(deterministic_counters(a.totals), deterministic_counters(b.totals));
+}
+
+/// Splits RFC 4180 CSV text into records of fields.
+std::vector<std::vector<std::string>> parse_csv(const std::string& text) {
+  std::vector<std::vector<std::string>> records(1);
+  std::string field;
+  bool quoted = false;
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const char c = text[i];
+    if (quoted) {
+      if (c != '"') {
+        field.push_back(c);
+      } else if (i + 1 < text.size() && text[i + 1] == '"') {
+        field.push_back('"');
+        ++i;
+      } else {
+        quoted = false;
+      }
+    } else if (c == '"') {
+      quoted = true;
+    } else if (c == ',') {
+      records.back().push_back(field);
+      field.clear();
+    } else if (c == '\n') {
+      records.back().push_back(field);
+      field.clear();
+      records.emplace_back();
+    } else {
+      field.push_back(c);
+    }
+  }
+  EXPECT_FALSE(quoted) << "unterminated quoted field";
+  if (records.back().empty() && field.empty()) records.pop_back();
+  return records;
+}
+
+TEST(BatchReportTest, CsvRowsKeepTheHeadersColumnCount) {
+  const std::vector<std::string> circuits = {"rd73", "a,b", "say \"hi\"",
+                                             "two\nlines"};
+  const RunReport report = run_batch(
+      suite_jobs(circuits, {baseline::System::kHyde}, 5, 1), BatchOptions{});
+  ASSERT_EQ(report.jobs.size(), circuits.size());
+  EXPECT_TRUE(report.jobs[0].error.empty());
+
+  const auto records = parse_csv(to_csv(report));
+  ASSERT_EQ(records.size(), circuits.size() + 1);
+  const std::vector<std::string>& header = records[0];
+  ASSERT_EQ(header[0], "circuit");
+  ASSERT_EQ(header[8], "error");
+  for (std::size_t i = 0; i < circuits.size(); ++i) {
+    const std::vector<std::string>& row = records[i + 1];
+    ASSERT_EQ(row.size(), header.size()) << circuits[i];
+    EXPECT_EQ(row[0], circuits[i]);
+    EXPECT_EQ(row[8], report.jobs[i].error);
+  }
+  EXPECT_NE(records[2][8].find("a,b"), std::string::npos);
 }
 
 }  // namespace
