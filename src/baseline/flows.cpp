@@ -67,17 +67,17 @@ BaselineResult run_system(const net::Network& input, System system,
     mapper::collapse_into_fanouts(flow.network, k);
   }
   mapper::dedup_shared_nodes(flow.network);
+  BaselineResult result;
+  if (k == 5) {
+    result.clbs = mapper::pack_xc3000(flow.network).num_clbs;
+  }
   const auto stop = std::chrono::steady_clock::now();
   flow.stats.mapping_seconds +=
       std::chrono::duration<double>(stop - map_start).count();
 
-  BaselineResult result;
   result.stats = flow.stats;
   result.luts = mapper::lut_count(flow.network);
   result.depth = mapper::network_depth(flow.network);
-  if (k == 5) {
-    result.clbs = mapper::pack_xc3000(flow.network).num_clbs;
-  }
   result.seconds =
       std::chrono::duration<double>(stop - start).count();
   if (verify_vectors <= 0) {
@@ -109,17 +109,17 @@ BaselineResult run_windowed_system(const net::Network& input,
     mapper::collapse_into_fanouts(windowed.network, k);
     mapper::dedup_shared_nodes(windowed.network);
   }
+  BaselineResult result;
+  if (k == 5 && windowed.network.is_k_feasible(k)) {
+    result.clbs = mapper::pack_xc3000(windowed.network).num_clbs;
+  }
   const auto stop = std::chrono::steady_clock::now();
   windowed.stats.mapping_seconds +=
       std::chrono::duration<double>(stop - map_start).count();
 
-  BaselineResult result;
   result.stats = windowed.stats;
   result.luts = mapper::lut_count(windowed.network);
   result.depth = mapper::network_depth(windowed.network);
-  if (k == 5 && windowed.network.is_k_feasible(k)) {
-    result.clbs = mapper::pack_xc3000(windowed.network).num_clbs;
-  }
   result.seconds = std::chrono::duration<double>(stop - start).count();
   if (verify_vectors <= 0) {
     result.verified = true;

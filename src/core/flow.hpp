@@ -186,7 +186,7 @@ struct FlowStats {
   // bound-set search engine's self-timed total, classes covers
   // compatible-class computation, encoding is encoder wall time net of the
   // nested bound-set searches it triggers, mapping is filled in by the
-  // baseline mapper after the flow proper.
+  // baseline mapper after the flow proper (cleanup through CLB packing).
   double varpart_seconds = 0.0;
   double classes_seconds = 0.0;
   double encoding_seconds = 0.0;
