@@ -107,7 +107,6 @@ struct WorkloadResult {
   /// configurations of the scale netlist.
   std::uint64_t unmapped = 0;
   // Scheduling telemetry (volatile, never folded into the checksum).
-  std::uint64_t steals = 0;
   double max_window_seconds = 0.0;  ///< slowest single window wall clock
   int max_window_index = -1;        ///< extraction index of that window
 };
@@ -295,19 +294,15 @@ WorkloadResult bench_windowed(const std::string& base, const Network& input,
   result.unmapped =
       static_cast<std::uint64_t>(flow.stats.windows_passthrough) +
       static_cast<std::uint64_t>(flow.stats.windows_split);
-  result.steals = flow.stats.window_steals;
   result.max_window_seconds = flow.stats.window_max_seconds;
   result.max_window_index = flow.stats.window_max_index;
   std::fprintf(stderr,
                "window_bench: %s extracted=%d resynth=%d passthrough=%d "
-               "fallbacks=%d split=%d reorders=%llu steals=%llu "
-               "extract_par=%d maxwin=%.3fs@%d\n",
+               "fallbacks=%d split=%d reorders=%llu maxwin=%.3fs@%d\n",
                result.name.c_str(), flow.stats.windows_extracted,
                flow.stats.windows_resynthesized, flow.stats.windows_passthrough,
                flow.stats.windows_budget_fallbacks, flow.stats.windows_split,
                static_cast<unsigned long long>(flow.stats.bdd_reorder_runs),
-               static_cast<unsigned long long>(flow.stats.window_steals),
-               flow.stats.windows_extract_parallel,
                flow.stats.window_max_seconds, flow.stats.window_max_index);
 
   if (flow.stats.windows_verify_failures != 0) {
@@ -359,13 +354,11 @@ void append_json(std::string& out, const WorkloadResult& r, bool last) {
   std::snprintf(buf, sizeof(buf),
                 "    {\"name\": \"%s\", \"seconds\": %.6f, \"checksum\": %llu, "
                 "\"completed\": %s, \"luts\": %d, \"unmapped\": %llu, "
-                "\"steals\": %llu, \"max_window_seconds\": %.6f, "
-                "\"max_window_index\": %d}%s\n",
+                "\"max_window_seconds\": %.6f, \"max_window_index\": %d}%s\n",
                 r.name.c_str(), r.seconds,
                 static_cast<unsigned long long>(r.checksum),
                 r.completed ? "true" : "false", r.luts,
                 static_cast<unsigned long long>(r.unmapped),
-                static_cast<unsigned long long>(r.steals),
                 r.max_window_seconds, r.max_window_index, last ? "" : ",");
   out += buf;
 }

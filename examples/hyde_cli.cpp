@@ -818,11 +818,8 @@ int main(int argc, char** argv) {
                 stats.windows_passthrough, stats.windows_budget_fallbacks,
                 stats.windows_split, stats.windows_verify_failures);
     if (stats.window_workers > 0) {
-      std::printf("scheduling: %d workers, %d snapshots materialized on "
-                  "workers, %llu steals, busy %.3fs total / %.3fs peak\n",
-                  stats.window_workers, stats.windows_extract_parallel,
-                  static_cast<unsigned long long>(stats.window_steals),
-                  stats.window_worker_busy_seconds,
+      std::printf("scheduling: %d workers, busy %.3fs total / %.3fs peak\n",
+                  stats.window_workers, stats.window_worker_busy_seconds,
                   stats.window_worker_busy_peak_seconds);
     }
     if (stats.window_max_index >= 0) {

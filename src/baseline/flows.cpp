@@ -1,11 +1,62 @@
 #include "baseline/flows.hpp"
 
 #include <chrono>
-#include <stdexcept>
+#include <cstdint>
+#include <utility>
 
 #include "net/verify.hpp"
 
 namespace hyde::baseline {
+
+namespace {
+
+/// The tail every system shares after its flow: mapper cleanup (dedup,
+/// collapse into fanouts, dedup; \p resub adds the RK resubstitution pass
+/// and a second cleanup), CLB packing when k = 5, LUT count and depth, and
+/// the random-vector check against \p input. The cleanup and the packer
+/// build per-node truth tables, so both are skipped while a wide
+/// pass-through node survives (never the case after core::run_flow).
+/// Mapping time runs from entry through packing; \p start dates the whole
+/// flow.
+BaselineResult map_and_check(const net::Network& input, net::Network network,
+                             core::FlowStats stats, int k, bool resub,
+                             int verify_vectors, std::uint64_t seed,
+                             std::chrono::steady_clock::time_point start) {
+  const auto map_start = std::chrono::steady_clock::now();
+  BaselineResult result;
+  if (network.is_k_feasible(k)) {
+    mapper::dedup_shared_nodes(network);
+    mapper::collapse_into_fanouts(network, k);
+    if (resub) {
+      mapper::resubstitute(network);
+      mapper::dedup_shared_nodes(network);
+      mapper::collapse_into_fanouts(network, k);
+    }
+    mapper::dedup_shared_nodes(network);
+    if (k == 5) result.clbs = mapper::pack_xc3000(network).num_clbs;
+  }
+  const auto stop = std::chrono::steady_clock::now();
+  stats.mapping_seconds +=
+      std::chrono::duration<double>(stop - map_start).count();
+
+  result.stats = std::move(stats);
+  result.luts = mapper::lut_count(network);
+  result.depth = mapper::network_depth(network);
+  result.seconds = std::chrono::duration<double>(stop - start).count();
+  if (verify_vectors <= 0) {
+    result.verified = true;
+  } else {
+    net::EquivalenceOptions eq_options;
+    eq_options.random_vectors = verify_vectors;
+    eq_options.seed = seed * 7919 + 17;
+    result.verified =
+        net::check_equivalence(input, network, eq_options).equivalent;
+  }
+  result.network = std::move(network);
+  return result;
+}
+
+}  // namespace
 
 std::string system_name(System system) {
   switch (system) {
@@ -55,83 +106,22 @@ BaselineResult run_system(const net::Network& input, System system, int k,
 BaselineResult run_system(const net::Network& input, System system,
                           const core::FlowOptions& options,
                           int verify_vectors) {
-  const int k = options.k;
   const auto start = std::chrono::steady_clock::now();
   core::FlowResult flow = core::run_flow(input, options);
-  const auto map_start = std::chrono::steady_clock::now();
-  mapper::dedup_shared_nodes(flow.network);
-  mapper::collapse_into_fanouts(flow.network, k);
-  if (system == System::kSawadaResubLike) {
-    mapper::resubstitute(flow.network);
-    mapper::dedup_shared_nodes(flow.network);
-    mapper::collapse_into_fanouts(flow.network, k);
-  }
-  mapper::dedup_shared_nodes(flow.network);
-  BaselineResult result;
-  if (k == 5) {
-    result.clbs = mapper::pack_xc3000(flow.network).num_clbs;
-  }
-  const auto stop = std::chrono::steady_clock::now();
-  flow.stats.mapping_seconds +=
-      std::chrono::duration<double>(stop - map_start).count();
-
-  result.stats = flow.stats;
-  result.luts = mapper::lut_count(flow.network);
-  result.depth = mapper::network_depth(flow.network);
-  result.seconds =
-      std::chrono::duration<double>(stop - start).count();
-  if (verify_vectors <= 0) {
-    result.verified = true;
-  } else {
-    net::EquivalenceOptions eq_options;
-    eq_options.random_vectors = verify_vectors;
-    eq_options.seed = options.seed * 7919 + 17;
-    result.verified =
-        net::check_equivalence(input, flow.network, eq_options).equivalent;
-  }
-  result.network = std::move(flow.network);
-  return result;
+  return map_and_check(input, std::move(flow.network), std::move(flow.stats),
+                       options.k, system == System::kSawadaResubLike,
+                       verify_vectors, options.seed, start);
 }
 
 BaselineResult run_windowed_system(const net::Network& input,
                                    const part::WindowedFlowOptions& options,
                                    int verify_vectors) {
-  const int k = options.flow.k;
   const auto start = std::chrono::steady_clock::now();
   part::WindowedFlowResult windowed = part::run_windowed_flow(input, options);
-
-  // Cross-window cleanup. The dedup/collapse passes build per-node truth
-  // tables (exponential in fanin count), so they only run when every
-  // pass-through window was already k-feasible.
-  const auto map_start = std::chrono::steady_clock::now();
-  if (windowed.network.is_k_feasible(k)) {
-    mapper::dedup_shared_nodes(windowed.network);
-    mapper::collapse_into_fanouts(windowed.network, k);
-    mapper::dedup_shared_nodes(windowed.network);
-  }
-  BaselineResult result;
-  if (k == 5 && windowed.network.is_k_feasible(k)) {
-    result.clbs = mapper::pack_xc3000(windowed.network).num_clbs;
-  }
-  const auto stop = std::chrono::steady_clock::now();
-  windowed.stats.mapping_seconds +=
-      std::chrono::duration<double>(stop - map_start).count();
-
-  result.stats = windowed.stats;
-  result.luts = mapper::lut_count(windowed.network);
-  result.depth = mapper::network_depth(windowed.network);
-  result.seconds = std::chrono::duration<double>(stop - start).count();
-  if (verify_vectors <= 0) {
-    result.verified = true;
-  } else {
-    net::EquivalenceOptions eq_options;
-    eq_options.random_vectors = verify_vectors;
-    eq_options.seed = options.flow.seed * 7919 + 17;
-    result.verified =
-        net::check_equivalence(input, windowed.network, eq_options).equivalent;
-  }
-  result.network = std::move(windowed.network);
-  return result;
+  return map_and_check(input, std::move(windowed.network),
+                       std::move(windowed.stats), options.flow.k,
+                       /*resub=*/false, verify_vectors, options.flow.seed,
+                       start);
 }
 
 }  // namespace hyde::baseline

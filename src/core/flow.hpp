@@ -171,12 +171,13 @@ struct FlowStats {
   double window_extract_seconds = 0.0;  ///< volatile wall clock
   double window_stitch_seconds = 0.0;   ///< volatile wall clock
 
-  // Windowed scheduling telemetry (volatile: thread count, steal pattern and
-  // wall clock all vary run to run — keep these out of any determinism
-  // checksum).
-  int windows_extract_parallel = 0;  ///< snapshots materialized on workers
-  std::uint64_t window_steals = 0;   ///< tasks stolen across worker deques
-  int window_workers = 0;            ///< scheduler workers (0 = serial path)
+  // Windowed scheduling telemetry (volatile: thread count and wall clock
+  // vary run to run — keep these out of any determinism checksum).
+  /// Always 0: the window pool has one shared queue and nothing to steal.
+  /// Kept only because the end-to-end benchmark (perfbench/) reads it for
+  /// its steals metric.
+  std::uint64_t window_steals = 0;
+  int window_workers = 0;  ///< pool workers (0 = no window needed resynthesis)
   double window_worker_busy_seconds = 0.0;       ///< summed worker busy time
   double window_worker_busy_peak_seconds = 0.0;  ///< busiest single worker
   double window_max_seconds = 0.0;  ///< slowest single window, wall clock
@@ -275,7 +276,6 @@ struct FlowStats {
     window_peak_nodes = std::max(window_peak_nodes, s.window_peak_nodes);
     window_extract_seconds += s.window_extract_seconds;
     window_stitch_seconds += s.window_stitch_seconds;
-    windows_extract_parallel += s.windows_extract_parallel;
     window_steals += s.window_steals;
     window_workers = std::max(window_workers, s.window_workers);
     window_worker_busy_seconds += s.window_worker_busy_seconds;

@@ -165,26 +165,23 @@ WindowOutcome resynthesize_window(const net::Network& sub, Window window,
   }
 
   outcome.stats.merge(flow.stats);
-  if (options.map_windows) {
-    const auto map_start = std::chrono::steady_clock::now();
-    mapper::dedup_shared_nodes(flow.network);
-    mapper::collapse_into_fanouts(flow.network, options.flow.k);
-    mapper::dedup_shared_nodes(flow.network);
-    outcome.stats.mapping_seconds += seconds_since(map_start);
-  }
+  // Per-window mapper cleanup, so the stitched network is mapping-quality,
+  // not just k-feasible.
+  const auto map_start = std::chrono::steady_clock::now();
+  mapper::dedup_shared_nodes(flow.network);
+  mapper::collapse_into_fanouts(flow.network, options.flow.k);
+  mapper::dedup_shared_nodes(flow.network);
+  outcome.stats.mapping_seconds += seconds_since(map_start);
 
-  if (options.verify_windows) {
-    const bool ok = net::check_equivalence(sub, flow.network).equivalent;
-    if (!ok) {
-      // A failed local check means a bug somewhere upstream; degrade to
-      // pass-through (counted, never silently wrong) instead of stitching a
-      // bad window into the result.
-      outcome.stats.windows_verify_failures += 1;
-      outcome.stats.windows_passthrough += 1;
-      outcome.pieces.push_back(
-          StitchPiece{std::move(window), false, net::Network("unmapped")});
-      return outcome;
-    }
+  if (!net::check_equivalence(sub, flow.network).equivalent) {
+    // A failed local check means a bug somewhere upstream; degrade to
+    // pass-through (counted, never silently wrong) instead of stitching a
+    // bad window into the result.
+    outcome.stats.windows_verify_failures += 1;
+    outcome.stats.windows_passthrough += 1;
+    outcome.pieces.push_back(
+        StitchPiece{std::move(window), false, net::Network("unmapped")});
+    return outcome;
   }
 
   outcome.stats.windows_resynthesized += 1;
@@ -193,20 +190,16 @@ WindowOutcome resynthesize_window(const net::Network& sub, Window window,
   return outcome;
 }
 
-/// Runs one window task end to end on the calling thread: materialize the
+/// Runs one window task end to end on the calling worker: materialize the
 /// captured sub-network, resynthesize, time the whole job for the per-window
 /// high-water mark. Touches nothing but the task and its own materialization.
 WindowOutcome run_window_task(WindowTask& task,
-                              const WindowedFlowOptions& options,
-                              bool on_worker) {
+                              const WindowedFlowOptions& options) {
   const auto start = std::chrono::steady_clock::now();
   net::Network sub = task.has_prebuilt ? std::move(task.prebuilt)
                                        : materialize_snapshot(task.snapshot);
   WindowOutcome outcome =
       resynthesize_window(sub, std::move(task.window), options, 0);
-  if (!task.has_prebuilt && on_worker) {
-    outcome.stats.windows_extract_parallel += 1;
-  }
   outcome.stats.window_max_seconds = seconds_since(start);
   outcome.stats.window_max_index = static_cast<int>(task.slot);
   return outcome;
@@ -333,40 +326,33 @@ WindowedFlowResult run_windowed_flow(const net::Network& input,
   }
   stats.window_extract_seconds = seconds_since(extract_start);
 
-  // Worker count auto-clamps to the real resynthesis workload: no point
-  // spinning up threads (or a scheduler at all) for fewer tasks than asked.
-  const int effective_threads =
-      std::min(options.threads, static_cast<int>(tasks.size()));
-  if (effective_threads <= 1) {
+  // Every task runs on the pool, longest first: a stable sort by estimated
+  // cost (ties keep extraction order) is longest-processing-time list
+  // scheduling over the shared queue. Outcomes and errors are slotted by
+  // window index, so the order moves wall clock, never output. The worker
+  // count clamps to the task count; a run with no task starts no pool.
+  std::stable_sort(tasks.begin(), tasks.end(),
+                   [](const WindowTask& a, const WindowTask& b) {
+                     return a.cost > b.cost;
+                   });
+  if (!tasks.empty()) {
+    std::vector<std::exception_ptr> errors(windows.size());
+    runtime::JobScheduler pool(
+        std::min(options.threads, static_cast<int>(tasks.size())));
     for (WindowTask& task : tasks) {
-      outcomes[task.slot] = run_window_task(task, options, /*on_worker=*/false);
+      pool.submit([&task, &outcomes, &errors, &options] {
+        try {
+          outcomes[task.slot] = run_window_task(task, options);
+        } catch (...) {
+          errors[task.slot] = std::current_exception();
+        }
+      });
     }
-  } else {
-    std::vector<std::exception_ptr> errors(tasks.size());
-    runtime::SchedulerStats sched;
-    {
-      runtime::JobScheduler pool(effective_threads);
-      std::vector<runtime::OrderedTask> jobs;
-      jobs.reserve(tasks.size());
-      for (std::size_t t = 0; t < tasks.size(); ++t) {
-        jobs.push_back(runtime::OrderedTask{
-            tasks[t].cost, [&tasks, &outcomes, &errors, &options, t] {
-              try {
-                outcomes[tasks[t].slot] =
-                    run_window_task(tasks[t], options, /*on_worker=*/true);
-              } catch (...) {
-                errors[t] = std::current_exception();
-              }
-            }});
-      }
-      pool.submit_ordered(std::move(jobs));
-      pool.wait_idle();
-      sched = pool.stats();
-    }
+    pool.wait_idle();
     for (const std::exception_ptr& e : errors) {
       if (e) std::rethrow_exception(e);
     }
-    stats.window_steals = sched.steals;
+    const runtime::SchedulerStats sched = pool.stats();
     stats.window_workers = static_cast<int>(sched.workers.size());
     for (const runtime::WorkerUtilization& u : sched.workers) {
       stats.window_worker_busy_seconds += u.busy_seconds;

@@ -13,18 +13,18 @@
 /// truth table), so workers materialize and resynthesize without ever
 /// touching the host network, its manager, or any shared lock; split
 /// fallback re-extracts from the worker's own materialized sub-network.
-/// Window-level parallelism runs on `runtime::JobScheduler` via its
-/// cost-ordered submit path (longest-processing-time placement plus work
-/// stealing); results are collected by window index, so the stitched network
-/// is bit-identical at every thread count and steal pattern. The worker
-/// count auto-clamps to the number of resynthesis tasks, and a run with at
-/// most one such task skips the scheduler entirely.
+/// Every resynthesis task runs on a `runtime::JobScheduler` pool, submitted
+/// longest first (stable sort by node count x support width, so ties keep
+/// extraction order); the worker count clamps to the number of tasks, and a
+/// run with no task starts no pool. Results are collected by window index,
+/// so the stitched network is bit-identical at every thread count.
 ///
 /// Memory governance: each window flow runs under a BDD node budget. A
 /// window that blows past it is split in half (topological halves stay
 /// convex) and retried; when the split depth is exhausted the window passes
-/// through unmapped. A window whose resynthesis fails its local equivalence
-/// check likewise passes through (counted, never silently wrong); windows
+/// through unmapped. Every resynthesized window gets the mapper cleanup and
+/// an equivalence check against its sub-network; one that fails the check
+/// likewise passes through (counted, never silently wrong); windows
 /// that are already k-feasible skip resynthesis entirely. The engine never
 /// aborts the run for a budget reason.
 
@@ -49,16 +49,12 @@ struct WindowedFlowOptions {
   int threads = 1;
   /// Per-window BDD node budget for the flow's global manager (0 = no
   /// limit). A window exceeding it is split or passed through, never fatal.
+  // hyde-knob-ok: governed budget; window_bench and tests set it.
   std::size_t window_bdd_budget = std::size_t{1} << 20;
   /// How many times a budget-blown window may be halved before passing
   /// through unmapped.
+  // hyde-knob-ok: governed budget; window_bench and tests set it.
   int max_split_depth = 3;
-  /// Check each resynthesized window against its sub-network (exact for
-  /// windows within the input budget; failures force pass-through).
-  bool verify_windows = true;
-  /// Run the mapper cleanup (dedup + collapse into fanouts) per window so
-  /// the stitched network is mapping-quality, not just k-feasible.
-  bool map_windows = true;
 };
 
 struct WindowedFlowResult {

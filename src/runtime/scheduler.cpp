@@ -8,8 +8,6 @@ namespace hyde::runtime {
 
 JobScheduler::JobScheduler(int num_workers) {
   const int n = std::max(1, num_workers);
-  deques_.resize(static_cast<std::size_t>(n));
-  deque_cost_.assign(static_cast<std::size_t>(n), 0);
   utilization_.resize(static_cast<std::size_t>(n));
   workers_.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
@@ -36,34 +34,9 @@ void JobScheduler::submit(std::function<void()> task) {
   work_cv_.notify_one();
 }
 
-void JobScheduler::submit_ordered(std::vector<OrderedTask> tasks) {
-  // Stable sort keeps submission order among equal costs, so the dealt
-  // layout — and with it the steal pattern — is a pure function of the
-  // (cost, index) sequence, never of timing.
-  std::stable_sort(tasks.begin(), tasks.end(),
-                   [](const OrderedTask& a, const OrderedTask& b) {
-                     return a.cost > b.cost;
-                   });
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    for (OrderedTask& t : tasks) {
-      // LPT: the next-longest task goes to the worker with the least
-      // estimated load so far (ties to the lowest index).
-      std::size_t target = 0;
-      for (std::size_t w = 1; w < deques_.size(); ++w) {
-        if (deque_cost_[w] < deque_cost_[target]) target = w;
-      }
-      deque_cost_[target] += t.cost;
-      deques_[target].push_back(DequeTask{t.cost, std::move(t.fn)});
-      ++submitted_;
-    }
-  }
-  work_cv_.notify_all();
-}
-
 void JobScheduler::wait_idle() {
   std::unique_lock<std::mutex> lock(mu_);
-  idle_cv_.wait(lock, [this] { return all_empty() && active_ == 0; });
+  idle_cv_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
 }
 
 SchedulerStats JobScheduler::stats() const {
@@ -71,68 +44,22 @@ SchedulerStats JobScheduler::stats() const {
   SchedulerStats s;
   s.submitted = submitted_;
   s.executed = executed_;
-  s.steals = steals_;
   s.workers = utilization_;
   return s;
-}
-
-bool JobScheduler::all_empty() const {
-  if (!queue_.empty()) return false;
-  for (const auto& d : deques_) {
-    if (!d.empty()) return false;
-  }
-  return true;
-}
-
-bool JobScheduler::try_pop(std::size_t index, std::function<void()>* task,
-                           bool* stolen) {
-  *stolen = false;
-  std::deque<DequeTask>& own = deques_[index];
-  if (!own.empty()) {
-    *task = std::move(own.front().fn);
-    deque_cost_[index] -= own.front().cost;
-    own.pop_front();
-    return true;
-  }
-  if (!queue_.empty()) {
-    *task = std::move(queue_.front());
-    queue_.pop_front();
-    return true;
-  }
-  // Steal from the back of the co-worker with the most estimated work left;
-  // it keeps draining its front undisturbed.
-  std::size_t victim = index;
-  std::uint64_t best = 0;
-  for (std::size_t w = 0; w < deques_.size(); ++w) {
-    if (w == index || deques_[w].empty()) continue;
-    if (victim == index || deque_cost_[w] > best) {
-      victim = w;
-      best = deque_cost_[w];
-    }
-  }
-  if (victim == index) return false;
-  DequeTask& back = deques_[victim].back();
-  *task = std::move(back.fn);
-  deque_cost_[victim] -= back.cost;
-  deques_[victim].pop_back();
-  *stolen = true;
-  return true;
 }
 
 void JobScheduler::worker_loop(std::size_t index) {
   for (;;) {
     std::function<void()> task;
-    bool stolen = false;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      // Pop before consulting stopping_ so destruction still drains every
-      // queued task (the predicate's side effect hands the task out).
-      work_cv_.wait(lock, [this, index, &task, &stolen] {
-        return try_pop(index, &task, &stolen) || stopping_;
-      });
-      if (!task) return;  // stopping and drained
+      // Drain before honouring stopping_, so destruction still runs every
+      // queued task.
+      work_cv_.wait(lock, [this] { return !queue_.empty() || stopping_; });
+      if (queue_.empty()) return;  // stopping and drained
+      task = std::move(queue_.front());
+      queue_.pop_front();
       ++active_;
-      if (stolen) ++steals_;
     }
     const auto start = std::chrono::steady_clock::now();
     try {
@@ -150,9 +77,8 @@ void JobScheduler::worker_loop(std::size_t index) {
       ++executed_;
       WorkerUtilization& u = utilization_[index];
       ++u.tasks;
-      if (stolen) ++u.steals;
       u.busy_seconds += busy;
-      if (all_empty() && active_ == 0) idle_cv_.notify_all();
+      if (queue_.empty() && active_ == 0) idle_cv_.notify_all();
     }
   }
 }

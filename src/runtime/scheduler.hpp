@@ -1,31 +1,23 @@
 /// \file scheduler.hpp
-/// \brief Fixed thread pool executing whole-flow synthesis jobs, with an
-/// optional cost-ordered dispatch path and work stealing.
+/// \brief Fixed thread pool executing independent synthesis jobs from one
+/// FIFO queue.
 ///
-/// Two submission paths share one pool of N workers:
+/// N workers take tasks from a single shared queue in submission order; an
+/// idle worker takes the next task, so there is nothing to balance beyond
+/// the order the caller submits in. The batch runtime submits whole-flow
+/// jobs; the windowed engine submits its window tasks longest-first (cost
+/// descending), which is longest-processing-time list scheduling (see
+/// part/windowed.cpp).
 ///
-///  - `submit` — the legacy FIFO path: tasks land in a shared injection
-///    queue and run in dispatch order. Used by the batch runtime and the
-///    intra-flow engines, whose tasks are uniform enough that ordering does
-///    not matter.
-///  - `submit_ordered` — the windowed engine's path: each task carries an
-///    estimated cost, the batch is sorted by cost descending (stable, so
-///    equal costs keep submission order) and dealt LPT-greedily onto
-///    per-worker deques — the longest tasks start first and the estimated
-///    load is balanced up front. A worker drained of its own deque pulls
-///    from the shared queue, then *steals* from the back of the co-worker
-///    with the most estimated work left, so misestimated stragglers cannot
-///    leave the tail of the schedule idle.
-///
-/// Neither path makes results schedule-dependent: callers slot outcomes by
-/// task index (see part/windowed.cpp), so ordering and stealing only move
-/// wall-clock, never output. Everything a job touches is job-private (each
-/// `core::run_flow` invocation constructs its own `bdd::Manager` on the
-/// worker thread that runs it — the single-threaded BDD package is never
-/// shared); the only shared mutable state in a batch is the NPN result
-/// cache, which synchronizes internally. Tasks must not throw: callers
-/// catch job exceptions and record them per index. As a backstop, an
-/// escaping exception terminates the task but not the worker.
+/// Ordering never makes results schedule-dependent: callers slot outcomes
+/// by task index, so the schedule moves wall-clock, never output.
+/// Everything a job touches is job-private (each `core::run_flow`
+/// invocation constructs its own `bdd::Manager` on the worker thread that
+/// runs it — the single-threaded BDD package is never shared); the only
+/// shared mutable state in a batch is the NPN result cache, which
+/// synchronizes internally. Tasks must not throw: callers catch job
+/// exceptions and record them per index. As a backstop, an escaping
+/// exception terminates the task but not the worker.
 
 #pragma once
 
@@ -40,26 +32,16 @@
 
 namespace hyde::runtime {
 
-/// One cost-annotated task for the ordered dispatch path.
-struct OrderedTask {
-  /// Estimated cost in arbitrary units (the windowed engine uses node count
-  /// x support width). Only the relative order matters.
-  std::uint64_t cost = 0;
-  std::function<void()> fn;
-};
-
 /// Per-worker execution figures (volatile: they move with scheduling).
 struct WorkerUtilization {
   std::uint64_t tasks = 0;     ///< tasks this worker executed
-  std::uint64_t steals = 0;    ///< tasks it stole from a co-worker's deque
   double busy_seconds = 0.0;   ///< wall-clock spent inside tasks
 };
 
 /// Point-in-time scheduler counters (see JobScheduler::stats).
 struct SchedulerStats {
-  std::uint64_t submitted = 0;  ///< tasks accepted on either path
+  std::uint64_t submitted = 0;  ///< tasks accepted
   std::uint64_t executed = 0;   ///< tasks completed
-  std::uint64_t steals = 0;     ///< cross-deque steals (ordered path only)
   std::vector<WorkerUtilization> workers;
 };
 
@@ -75,39 +57,20 @@ class JobScheduler {
 
   int num_workers() const { return static_cast<int>(workers_.size()); }
 
-  /// Enqueues a task; runs on some worker in FIFO dispatch order.
+  /// Enqueues a task; tasks start in submission order.
   void submit(std::function<void()> task);
 
-  /// Enqueues a batch of cost-annotated tasks: stable-sorted by cost
-  /// descending and assigned LPT-greedily (each task to the worker with the
-  /// least estimated load so far), so stragglers start first. Workers that
-  /// drain their own deque steal from the most-loaded co-worker.
-  void submit_ordered(std::vector<OrderedTask> tasks);
-
-  /// Blocks until every queue and deque is empty and no task is running.
+  /// Blocks until the queue is empty and no task is running.
   void wait_idle();
 
   /// Cumulative execution counters (safe to call while idle or busy).
   SchedulerStats stats() const;
 
  private:
-  /// One pending task on a worker deque: the cost travels along so steal
-  /// victims can be chosen by estimated remaining work.
-  struct DequeTask {
-    std::uint64_t cost = 0;
-    std::function<void()> fn;
-  };
-
   void worker_loop(std::size_t index);
-  /// Pops the next task for worker \p index (own deque front, shared queue,
-  /// then steal from the back of the most-loaded co-worker). Requires mu_.
-  bool try_pop(std::size_t index, std::function<void()>* task, bool* stolen);
-  bool all_empty() const;  // requires mu_
 
   std::vector<std::thread> workers_;
-  std::deque<std::function<void()>> queue_;  ///< shared FIFO injection queue
-  std::vector<std::deque<DequeTask>> deques_;  ///< per-worker ordered tasks
-  std::vector<std::uint64_t> deque_cost_;      ///< estimated work left per deque
+  std::deque<std::function<void()>> queue_;
   std::vector<WorkerUtilization> utilization_;
   mutable std::mutex mu_;
   std::condition_variable work_cv_;
@@ -115,7 +78,6 @@ class JobScheduler {
   std::size_t active_ = 0;
   std::uint64_t submitted_ = 0;
   std::uint64_t executed_ = 0;
-  std::uint64_t steals_ = 0;
   bool stopping_ = false;
 };
 

@@ -47,7 +47,6 @@ FlowStats filled(int base, bool collapse) {
   s.window_peak_nodes = base + 29;
   s.window_extract_seconds = base + 0.25;
   s.window_stitch_seconds = base + 0.5;
-  s.windows_extract_parallel = base + 30;
   s.window_steals = u(31);
   s.window_workers = base + 32;
   s.window_worker_busy_seconds = base + 1.25;
@@ -100,7 +99,6 @@ TEST(FlowStatsMerge, SumsCountsAndSecondsAndTakesTheMaxOfPeaks) {
   EXPECT_EQ(into.window_peak_nodes, 129);
   EXPECT_DOUBLE_EQ(into.window_extract_seconds, 100.25 + 10.25);
   EXPECT_DOUBLE_EQ(into.window_stitch_seconds, 100.5 + 10.5);
-  EXPECT_EQ(into.windows_extract_parallel, 130 + 40);
   EXPECT_EQ(into.window_steals, 131u + 41u);
   EXPECT_EQ(into.window_workers, 132);
   EXPECT_DOUBLE_EQ(into.window_worker_busy_seconds, 101.25 + 11.25);

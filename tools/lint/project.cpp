@@ -23,7 +23,8 @@ bool ident(const Token& t, const char* text) {
 
 bool option_struct_name(const std::string& name) {
   static const char* const kStructs[] = {"FlowOptions", "BatchOptions",
-                                         "EncoderOptions", "WindowOptions"};
+                                         "EncoderOptions", "WindowOptions",
+                                         "WindowedFlowOptions"};
   return std::any_of(std::begin(kStructs), std::end(kStructs),
                      [&](const char* s) { return name == s; });
 }

@@ -7,7 +7,8 @@
 /// the per-file rules over each, then adds:
 ///
 ///  - `dead-knob`        a field of FlowOptions / BatchOptions /
-///                       EncoderOptions / WindowOptions whose name is never
+///                       EncoderOptions / WindowOptions /
+///                       WindowedFlowOptions whose name is never
 ///                       mentioned in the CLI (examples/hyde_cli.cpp) nor in
 ///                       the report layer (src/runtime/report.*) is
 ///                       unreachable: nothing can set it from the outside
