@@ -194,66 +194,6 @@ std::vector<WorkloadResult> bench_count_columns(int max_bound) {
   return results;
 }
 
-/// Reorder workload: the interleaved pairing pattern OR_i (x_i & x_{p+i}),
-/// exponential under the identity order and linear once sifted.  The same
-/// function is built twice — once untouched, once through reorder_sift — and
-/// both paths fold the identical semantic checksum (sat count plus oracle
-/// evaluation on shared pseudo-random assignments, both order-invariant), so
-/// the two rows must agree bit for bit: that parity is the self-check the
-/// harness enforces in main, together with the >=25% live-node reduction.
-struct ReorderOutcome {
-  WorkloadResult off;
-  WorkloadResult sift;
-  std::size_t live_before = 0;
-  std::size_t live_after = 0;
-};
-
-std::uint64_t reorder_checksum(Manager& mgr, const Bdd& f, int n, int probes) {
-  std::uint64_t state = 0x0DDE4ull;
-  std::uint64_t checksum =
-      static_cast<std::uint64_t>(mgr.sat_count(f, n)) * 0x9E3779B97F4A7C15ull;
-  std::vector<bool> assignment(static_cast<std::size_t>(n));
-  for (int p = 0; p < probes; ++p) {
-    const std::uint64_t bits = splitmix64(state);
-    for (int v = 0; v < n; ++v) assignment[v] = ((bits >> v) & 1) != 0;
-    checksum = checksum * 31 + (mgr.eval(f, assignment) ? 1 : 0);
-  }
-  return checksum;
-}
-
-ReorderOutcome bench_reorder(int pairs, int probes) {
-  const int n = 2 * pairs;
-  ReorderOutcome outcome;
-  const auto build = [pairs](Manager& mgr) {
-    Bdd f = mgr.zero();
-    for (int i = 0; i < pairs; ++i) {
-      f = f | (mgr.var(i) & mgr.var(pairs + i));
-    }
-    return f;
-  };
-
-  {
-    Manager mgr(n);
-    outcome.off.name = "reorder_off";
-    const auto start = std::chrono::steady_clock::now();
-    const Bdd f = build(mgr);
-    outcome.off.checksum = reorder_checksum(mgr, f, n, probes);
-    outcome.off.seconds = seconds_since(start);
-  }
-  {
-    Manager mgr(n);
-    outcome.sift.name = "reorder_sift";
-    const auto start = std::chrono::steady_clock::now();
-    const Bdd f = build(mgr);
-    outcome.live_before = mgr.live_node_count();
-    mgr.reorder_sift();
-    outcome.live_after = mgr.live_node_count();
-    outcome.sift.checksum = reorder_checksum(mgr, f, n, probes);
-    outcome.sift.seconds = seconds_since(start);
-  }
-  return outcome;
-}
-
 /// Full chart construction (patterns + indicators + minterm lists).
 std::vector<WorkloadResult> bench_enumerate_columns(int max_bound) {
   const int n = 14;
@@ -318,36 +258,6 @@ int main(int argc, char** argv) {
   results.push_back(bench_quantify_compose(quantify_rounds));
   for (auto& r : bench_count_columns(max_bound)) results.push_back(r);
   for (auto& r : bench_enumerate_columns(max_bound)) results.push_back(r);
-
-  // Reorder workload with its two self-checks: semantic parity between the
-  // untouched and sifted paths, and the live-node reduction the sifter must
-  // deliver on the pairing pattern.
-  const int reorder_pairs = quick ? 10 : 13;
-  const ReorderOutcome reorder = bench_reorder(reorder_pairs, 256);
-  if (reorder.off.checksum != reorder.sift.checksum) {
-    std::fprintf(stderr,
-                 "bdd_micro: reorder checksum parity FAILED (%llu != %llu)\n",
-                 static_cast<unsigned long long>(reorder.off.checksum),
-                 static_cast<unsigned long long>(reorder.sift.checksum));
-    return 1;
-  }
-  if (reorder.live_after * 4 > reorder.live_before * 3) {
-    std::fprintf(stderr,
-                 "bdd_micro: reorder live-node reduction below 25%% "
-                 "(%zu -> %zu)\n",
-                 reorder.live_before, reorder.live_after);
-    return 1;
-  }
-  results.push_back(reorder.off);
-  results.push_back(reorder.sift);
-  WorkloadResult live_before;
-  live_before.name = "reorder_live_before";
-  live_before.checksum = reorder.live_before;
-  results.push_back(live_before);
-  WorkloadResult live_after;
-  live_after.name = "reorder_live_after";
-  live_after.checksum = reorder.live_after;
-  results.push_back(live_after);
 
   std::string json;
   json += "{\n";

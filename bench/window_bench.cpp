@@ -12,15 +12,11 @@
 ///    this itself and fails (exit 1) on any mismatch, making a committed
 ///    BENCH_window.json a determinism proof for the machine that produced
 ///    it.
-///  - `*reorder_t1/_t2/_t4`: the same windowed flow with auto variable
-///    reordering enabled inside every window (docs/REORDER.md). Same thread-identity contract; reordering must
-///    never map fewer windows than the identity order.
-///  - `scalestress*`: the large netlist again (one row per configuration,
-///    at 4 threads), with window caps wide enough that its order-adversarial
-///    cones (make_scale) stay whole. Identity order must blow the 2^17
-///    budget on those windows (split fallbacks); the reorder row must map
-///    strictly more windows — fewer pass-throughs + splits — under the very
-///    same budget. This is the reorder payoff gate.
+///  - `scalestress_t4`: the large netlist again at 4 threads, with window
+///    caps wide enough that its order-adversarial cones (make_scale) stay
+///    whole. Those windows must blow the 2^17 budget (split fallbacks), so
+///    the row exercises the split/pass-through ladder at scale; the harness
+///    fails if it maps every window.
 ///  - `*whole_gov/_free`: the whole-network flow under the same per-manager
 ///    BDD node budget the windowed engine gives each window, and unbounded.
 ///    On the fixture-sized netlists both complete with identical networks
@@ -103,8 +99,7 @@ struct WorkloadResult {
   bool completed = true;       ///< false: blew the budget (expected for gov)
   int luts = 0;
   /// Windows the engine could not map under the budget (pass-throughs plus
-  /// splits); the reorder gate compares this between the off and reorder
-  /// configurations of the scale netlist.
+  /// splits); the stress gate requires it to be nonzero.
   std::uint64_t unmapped = 0;
   // Scheduling telemetry (volatile, never folded into the checksum).
   double max_window_seconds = 0.0;  ///< slowest single window wall clock
@@ -160,9 +155,7 @@ constexpr int kStressNodes = 96;
 /// all-x AND *spine* makes every x the first-referenced fanin of the cone,
 /// so a window cloning it registers its boundary inputs as x1..xn, y1..yn —
 /// the order under which either disjoint quadratic form needs ~2^n BDD
-/// nodes.  Any interleaved order (xi adjacent to its partners) is linear,
-/// which is what converging sifting finds: under the 2^17 per-window budget
-/// the identity order must blow the window while auto reordering maps it.
+/// nodes, so a whole cone blows the 2^17 per-window budget.
 void add_adversarial_cone(Network& out, int index) {
   namespace htt = hyde::tt;
   const std::string p = "adv" + std::to_string(index) + "_";
@@ -195,9 +188,7 @@ void add_adversarial_cone(Network& out, int index) {
     acc = out.add_logic_tt(p + "fo" + std::to_string(i), {acc, prod}, or2);
   }
   out.add_output(p + "f", acc);
-  // g chain: same inputs, shifted pairing. Its own identity order is equally
-  // bad, and both chains are linear under any interleaved order, so one
-  // sifted order serves the whole window.
+  // g chain: same inputs, shifted pairing, equally bad in identity order.
   hyde::net::NodeId gcc = hyde::net::kNoNode;
   for (int i = 0; i < n; ++i) {
     const hyde::net::NodeId prod = out.add_logic_tt(
@@ -215,9 +206,8 @@ void add_adversarial_cone(Network& out, int index) {
 /// Large workload: two independently seeded multilevel DAGs tiled side by
 /// side into one ~19k-node netlist (random_multilevel's live cone saturates
 /// around 6k nodes, so scale comes from tiling), plus a handful of
-/// order-adversarial cones (add_adversarial_cone) whose windows are
-/// unmappable under the identity variable order but trivial after sifting.
-/// Deterministic.
+/// order-adversarial cones (add_adversarial_cone) whose whole-cone windows
+/// blow the per-window budget. Deterministic.
 Network make_scale() {
   Network out("scale");
   for (int c = 0; c < 2; ++c) {
@@ -252,27 +242,21 @@ FlowOptions hyde_flow_options() {
 /// text with every windows_* counter, so the thread sweep proves both the
 /// network and the bookkeeping are schedule-independent.
 WorkloadResult bench_windowed(const std::string& base, const Network& input,
-                              int threads, bool reorder = false,
-                              int max_inputs = 0, int max_nodes = 0) {
+                              int threads, int max_inputs = 0,
+                              int max_nodes = 0) {
   WindowedFlowOptions options;
   options.flow = hyde_flow_options();
   options.threads = threads;
   options.window_bdd_budget = kBudget;
   if (max_inputs > 0) {
     options.window.max_inputs = max_inputs;
-    // Widened windows only exercise the reorder-sensitive path if the
-    // per-window flow still collapses the whole window into one global
-    // function; lift the collapse ceiling to match the window cap.
+    // Widened windows only exercise the budget ladder if the per-window
+    // flow still collapses the whole window into one global function; lift
+    // the collapse ceiling to match the window cap.
     options.flow.max_collapse_support =
         std::max(options.flow.max_collapse_support, max_inputs);
   }
   if (max_nodes > 0) options.window.max_nodes = max_nodes;
-  if (reorder) {
-    // The governance configuration under test: auto sifting inside every
-    // window manager. It is deterministic, so the t1/t2/t4 checksum gate
-    // applies unchanged.
-    options.flow.reorder = hyde::bdd::ReorderMode::kAuto;
-  }
 
   WorkloadResult result;
   result.name = base + "_t" + std::to_string(threads);
@@ -298,11 +282,10 @@ WorkloadResult bench_windowed(const std::string& base, const Network& input,
   result.max_window_index = flow.stats.window_max_index;
   std::fprintf(stderr,
                "window_bench: %s extracted=%d resynth=%d passthrough=%d "
-               "fallbacks=%d split=%d reorders=%llu maxwin=%.3fs@%d\n",
+               "fallbacks=%d split=%d maxwin=%.3fs@%d\n",
                result.name.c_str(), flow.stats.windows_extracted,
                flow.stats.windows_resynthesized, flow.stats.windows_passthrough,
                flow.stats.windows_budget_fallbacks, flow.stats.windows_split,
-               static_cast<unsigned long long>(flow.stats.bdd_reorder_runs),
                flow.stats.window_max_seconds, flow.stats.window_max_index);
 
   if (flow.stats.windows_verify_failures != 0) {
@@ -428,12 +411,9 @@ int main(int argc, char** argv) {
     const std::pair<int, int> sizes[] = {{0, 0},
                                          {kStressInputs, kStressNodes}};
     for (const auto& [mi, mn] : sizes) {
-      for (const bool ro : {false, true}) {
-        char name[64];
-        std::snprintf(name, sizeof(name), "probe_i%d_n%d_%s", mi, mn,
-                      ro ? "reorder" : "off");
-        bench_windowed(name, input, /*threads=*/4, ro, mi, mn);
-      }
+      char name[64];
+      std::snprintf(name, sizeof(name), "probe_i%d_n%d", mi, mn);
+      bench_windowed(name, input, /*threads=*/4, mi, mn);
     }
     return 0;
   }
@@ -449,12 +429,6 @@ int main(int argc, char** argv) {
     for (int threads : {1, 2, 4}) {
       results.push_back(bench_windowed(base, input, threads));
     }
-    // Reorder configuration: own base name (its counters differ from
-    // the off rows by design), same thread-identity gate.
-    for (int threads : {1, 2, 4}) {
-      results.push_back(
-          bench_windowed(base + "reorder", input, threads, /*reorder=*/true));
-    }
     results.push_back(bench_whole(base + "whole_gov", input, kBudget));
     results.push_back(bench_whole(base + "whole_free", input, 0));
   }
@@ -466,49 +440,17 @@ int main(int argc, char** argv) {
     for (int threads : {1, 2, 4}) {
       results.push_back(bench_windowed("scale", input, threads));
     }
-    // At the default window caps the adversarial cones are chopped into
-    // narrow, order-insensitive windows, so reordering must simply never be
-    // worse here.
-    const std::uint64_t off_unmapped = results.back().unmapped;
-    for (int threads : {1, 2, 4}) {
-      results.push_back(
-          bench_windowed("scalereorder", input, threads, /*reorder=*/true));
-    }
-    if (results.back().unmapped > off_unmapped) {
-      std::fprintf(stderr,
-                   "window_bench: reorder increased unmapped windows on "
-                   "the scale netlist (%llu -> %llu)\n",
-                   static_cast<unsigned long long>(off_unmapped),
-                   static_cast<unsigned long long>(results.back().unmapped));
-      return 1;
-    }
-    // The reorder payoff claim: with windows wide enough to hold a whole
-    // adversarial cone, the identity order blows the 2^17 budget (split
-    // fallbacks) while auto sifting must map strictly more windows — fewer
-    // pass-throughs and splits — under the identical budget.
-    // One row per configuration: the stressed windows do orders of magnitude
-    // more BDD work than the default caps (every blown window builds to the
-    // budget before splitting), and thread-count identity is already proven
-    // by the default rows above and by windowed_reorder_test.
+    // With windows wide enough to hold a whole adversarial cone, those
+    // windows blow the 2^17 budget and fall back to splitting. One row: the
+    // stressed windows do far more BDD work than the default caps (every
+    // blown window builds to the budget before splitting), and thread-count
+    // identity is already proven by the default rows above.
     results.push_back(bench_windowed("scalestress", input, /*threads=*/4,
-                                     /*reorder=*/false, kStressInputs,
-                                     kStressNodes));
-    const std::uint64_t stress_off_unmapped = results.back().unmapped;
-    results.push_back(bench_windowed("scalestressreorder", input,
-                                     /*threads=*/4, /*reorder=*/true,
                                      kStressInputs, kStressNodes));
-    if (results.back().unmapped >= stress_off_unmapped) {
+    if (results.back().unmapped == 0) {
       std::fprintf(stderr,
-                   "window_bench: reorder did not reduce unmapped windows on "
-                   "the stressed scale netlist (%llu -> %llu)\n",
-                   static_cast<unsigned long long>(stress_off_unmapped),
-                   static_cast<unsigned long long>(results.back().unmapped));
-      return 1;
-    }
-    if (stress_off_unmapped == 0) {
-      std::fprintf(stderr,
-                   "window_bench: stress rows exerted no budget pressure "
-                   "(identity order mapped everything)\n");
+                   "window_bench: stress row exerted no budget pressure "
+                   "(every window mapped)\n");
       return 1;
     }
     // The governance claim: under the budget every window sits far below,
@@ -586,8 +528,8 @@ int main(int argc, char** argv) {
   json += "  \"engine\": \"" + label + "\",\n";
   json += "  \"budget\": " + std::to_string(kBudget) + ",\n";
   json += "  \"cpus\": " + std::to_string(cpus) + ",\n";
-  json += "  \"configs\": [\"t1\", \"t2\", \"t4\", \"reorder_t1..t4\", "
-          "\"stress_t4\", \"whole_gov\", \"whole_free\"],\n";
+  json += "  \"configs\": [\"t1\", \"t2\", \"t4\", \"stress_t4\", "
+          "\"whole_gov\", \"whole_free\"],\n";
   json += "  \"gates\": [\n";
   for (std::size_t i = 0; i < gates.size(); ++i) {
     append_gate_json(json, gates[i], i + 1 == gates.size());

@@ -1,11 +1,12 @@
 /// Tour of the BDD substrate: building functions, canonical equality,
-/// quantification, satisfy counts, static reordering and Graphviz export.
+/// quantification, satisfy counts, variable numbering and Graphviz export.
 /// (The decomposition engine sits on exactly these primitives.)
 
 #include <cstdio>
+#include <vector>
 
 #include "bdd/bdd.hpp"
-#include "bdd/reorder.hpp"
+#include "bdd/transfer.hpp"
 #include "tt/truth_table.hpp"
 
 int main() {
@@ -34,17 +35,17 @@ int main() {
   std::printf("exists(b): reduces to 'a != 0': %s\n",
               any_b == a_nonzero ? "yes" : "no");
 
-  // Static reordering: the blocked order is exponential, sifting finds the
-  // interleaved one.
-  const auto sift = bdd::sift_order(mgr, f, 3);
-  std::printf("sifting: %zu nodes -> %zu nodes in %d rounds; order:",
-              sift.initial_nodes, sift.final_nodes, sift.rounds_used);
-  for (int v : sift.order) std::printf(" x%d", v);
-  std::printf("\n");
-
-  // Graphviz dump of the small reordered BDD.
-  bdd::Manager pretty(static_cast<int>(sift.order.size()));
-  const bdd::Bdd moved = bdd::apply_order(f, pretty, sift.order);
+  // Graphviz dump of the same function over an interleaved variable
+  // numbering (a_i next to b_i), where the fixed order keeps it small.
+  std::vector<int> interleave(12);
+  for (int i = 0; i < 6; ++i) {
+    interleave[static_cast<std::size_t>(i)] = 2 * i;
+    interleave[static_cast<std::size_t>(6 + i)] = 2 * i + 1;
+  }
+  bdd::Manager pretty(12);
+  const bdd::Bdd moved = bdd::transfer(f, pretty, interleave);
+  std::printf("interleaved numbering: %zu nodes -> %zu nodes\n",
+              mgr.node_count(f), pretty.node_count(moved));
   const std::string dot = pretty.to_dot(moved, "comparator");
   std::printf("\n%s", dot.c_str());
   std::printf("(pipe through `dot -Tpng` to render)\n");

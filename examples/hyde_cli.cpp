@@ -12,11 +12,6 @@
 ///                 classes / encoding / mapping) plus search-engine counters;
 ///                 the same numbers always land in the volatile RunReport
 ///                 JSON/CSV sections regardless of this flag
-///   --reorder <m>  dynamic BDD variable reordering: off (default), sift
-///                 (soft-budget ladder) or auto (adds the growth trigger);
-///                 see docs/REORDER.md. Result-affecting: runs with
-///                 different --reorder settings are different experiments.
-///   --reorder-max-growth <x>  auto-reorder growth factor, > 1.0 (default 2.0)
 ///   --read-latches  accept sequential BLIF by extracting the combinational
 ///                 core (latch outputs become PIs, latch inputs become POs)
 ///
@@ -119,7 +114,6 @@ int usage() {
   std::fprintf(stderr,
                "usage: hyde_cli [-k n] [-s hyde|imodec|fgsyn|rk|rk-resub|all] "
                "[-o out.blif] [--pla-out out.pla] [--no-verify] [--profile] "
-               "[--reorder off|sift|auto] [--reorder-max-growth x] "
                "[flow knobs] "
                "<circuit.blif|circuit.pla|@benchmark>\n"
                "  flow knobs: [--encoding random|classes|cubes] "
@@ -130,12 +124,10 @@ int usage() {
                "       hyde_cli --batch [--circuits a,b,c] [-k n] "
                "[-s system|all] [--workers n] "
                "[--seed n] [--json file] [--csv file] [--deterministic-json] "
-               "[--no-cache] [--no-verify] [--profile] "
-               "[--reorder off|sift|auto] [--reorder-max-growth x]\n"
+               "[--no-cache] [--no-verify] [--profile]\n"
                "       hyde_cli --in circuit.blif [-k n] [-s system] "
                "[-o out.blif] [--window-inputs n] [--window-nodes n] "
-               "[--window-threads n] [--reorder off|sift|auto] "
-               "[--reorder-max-growth x] [--read-latches] "
+               "[--window-threads n] [--read-latches] "
                "[--no-verify] [--profile]\n"
                "  persistent cache (all modes): [--cache-dir dir] "
                "[--cache-readonly] [--cache-max-bytes n]\n");
@@ -186,19 +178,6 @@ bool parse_double(const std::string& arg, double* out) {
   return true;
 }
 
-/// Maps a --reorder argument to the kernel mode; false on unknown names.
-bool parse_reorder_mode(const std::string& arg, hyde::bdd::ReorderMode* out) {
-  if (arg == "off") {
-    *out = hyde::bdd::ReorderMode::kOff;
-  } else if (arg == "sift") {
-    *out = hyde::bdd::ReorderMode::kSift;
-  } else if (arg == "auto") {
-    *out = hyde::bdd::ReorderMode::kAuto;
-  } else {
-    return false;
-  }
-  return true;
-}
 
 /// Maps an --encoding argument to the flow policy; false on unknown names.
 bool parse_encoding(const std::string& arg, hyde::core::EncodingPolicy* out) {
@@ -315,10 +294,8 @@ int run_batch_mode(const std::string& system_name, int k, int workers,
                    std::uint64_t seed, bool verify, bool use_cache,
                    const std::string& json_path, const std::string& csv_path,
                    bool deterministic_json, bool profile,
-                   int cache_max_support, hyde::bdd::ReorderMode reorder,
-                   double reorder_max_growth,
-                   const std::string& cache_dir, bool cache_readonly,
-                   std::uint64_t cache_max_bytes,
+                   int cache_max_support, const std::string& cache_dir,
+                   bool cache_readonly, std::uint64_t cache_max_bytes,
                    const std::string& circuits_filter) {
   using namespace hyde;
   std::vector<baseline::System> systems;
@@ -354,8 +331,6 @@ int run_batch_mode(const std::string& system_name, int k, int workers,
   options.verify_vectors = verify ? 128 : 0;
   options.use_cache = use_cache;
   options.cache_max_support = cache_max_support;
-  options.reorder = reorder;
-  options.reorder_max_growth = reorder_max_growth;
   options.cache_dir = cache_dir;
   options.cache_readonly = cache_readonly;
   options.cache_max_bytes = cache_max_bytes;
@@ -444,8 +419,6 @@ int main(int argc, char** argv) {
   int window_nodes = 64;
   int window_threads = 1;
   bool read_latches = false;
-  bdd::ReorderMode reorder = bdd::ReorderMode::kOff;
-  double reorder_max_growth = 2.0;
   std::string cache_dir;
   bool cache_readonly = false;
   std::uint64_t cache_max_bytes = 0;
@@ -664,25 +637,6 @@ int main(int argc, char** argv) {
       ov.tear_penalty_scale = value;
       ov.has_tear_penalty = true;
       if (shape_flag.empty()) shape_flag = arg;
-    } else if (arg == "--reorder" && i + 1 < argc) {
-      const std::string mode_name = argv[++i];
-      if (!parse_reorder_mode(mode_name, &reorder)) {
-        std::fprintf(stderr,
-                     "error: --reorder expects off, sift or auto, got '%s'\n",
-                     mode_name.c_str());
-        return 2;
-      }
-    } else if (arg == "--reorder-max-growth" && i + 1 < argc) {
-      double value = 0.0;
-      if (!parse_double(argv[++i], &value) || !(value > 1.0) ||
-          !(value <= 64.0)) {
-        std::fprintf(stderr,
-                     "error: --reorder-max-growth expects a number in "
-                     "(1.0, 64.0], got '%s'\n",
-                     argv[i]);
-        return 2;
-      }
-      reorder_max_growth = value;
     } else if (arg == "--read-latches") {
       read_latches = true;
     } else if (arg == "--profile") {
@@ -742,8 +696,8 @@ int main(int argc, char** argv) {
     return run_batch_mode(system_name, k, workers, seed, verify, use_cache,
                           json_path, csv_path, deterministic_json, profile,
                           ov.cache_max_support >= 0 ? ov.cache_max_support : 7,
-                          reorder, reorder_max_growth, cache_dir,
-                          cache_readonly, cache_max_bytes, batch_circuits);
+                          cache_dir, cache_readonly, cache_max_bytes,
+                          batch_circuits);
   }
 
   if (!in_file.empty()) {
@@ -782,8 +736,6 @@ int main(int argc, char** argv) {
     part::WindowedFlowOptions options;
     options.flow = baseline::system_flow_options(system, k);
     options.flow.seed = seed;
-    options.flow.reorder = reorder;
-    options.flow.reorder_max_growth = reorder_max_growth;
     ov.apply(&options.flow);
     options.window.max_inputs = window_inputs;
     options.window.max_nodes = window_nodes;
@@ -919,8 +871,6 @@ int main(int argc, char** argv) {
       continue;
     }
     core::FlowOptions flow_options = baseline::system_flow_options(system, k);
-    flow_options.reorder = reorder;
-    flow_options.reorder_max_growth = reorder_max_growth;
     ov.apply(&flow_options);
     if (single_tiered != nullptr) flow_options.cache = single_tiered.get();
     auto result =

@@ -42,8 +42,6 @@ const char* kind_name(InvariantViolation::Kind kind) {
       return "computed-table";
     case InvariantViolation::Kind::kFreeList:
       return "free-list";
-    case InvariantViolation::Kind::kLevelMap:
-      return "level-map";
   }
   return "unknown";
 }
@@ -78,34 +76,6 @@ InvariantReport Manager::audit_invariants() const {
     return id < store && (id <= kOne || nodes_[id].var >= 0);
   };
 
-  // --- Level map: level_of and var_at must be inverse permutations --------
-  if (level_of_.size() != var_at_.size() ||
-      level_of_.size() < static_cast<std::size_t>(num_vars_)) {
-    std::ostringstream os;
-    os << "level map sized " << level_of_.size() << "/" << var_at_.size()
-       << " does not cover num_vars " << num_vars_;
-    add(Kind::kLevelMap, os.str());
-  }
-  for (std::size_t v = 0; v < level_of_.size(); ++v) {
-    const int level = level_of_[v];
-    if (level < 0 || level >= static_cast<int>(var_at_.size())) {
-      std::ostringstream os;
-      os << "var " << v << " maps to out-of-range level " << level;
-      add(Kind::kLevelMap, os.str());
-    } else if (var_at_[static_cast<std::size_t>(level)] != static_cast<int>(v)) {
-      std::ostringstream os;
-      os << "var " << v << " maps to level " << level << " but var_at["
-         << level << "] is " << var_at_[static_cast<std::size_t>(level)];
-      add(Kind::kLevelMap, os.str());
-    }
-  }
-  // Safe even over a corrupt map (already reported above).
-  auto level_or_var = [this](std::int32_t var) {
-    return var >= 0 && var < static_cast<std::int32_t>(level_of_.size())
-               ? level_of_[static_cast<std::size_t>(var)]
-               : var;
-  };
-
   // --- Node store: constants, child sanity, level ordering ----------------
   if (store < 2 || nodes_[kZero].var != -1 || nodes_[kOne].var != -1) {
     add(Kind::kNodeStructure, "constant nodes 0/1 missing or not constant");
@@ -136,13 +106,10 @@ InvariantReport Manager::audit_invariants() const {
         std::ostringstream os;
         os << describe(id) << " child " << child << " is dead or out of range";
         add(Kind::kNodeStructure, os.str());
-      } else if (child > kOne &&
-                 level_or_var(nodes_[child].var) <= level_or_var(n.var)) {
+      } else if (child > kOne && nodes_[child].var <= n.var) {
         std::ostringstream os;
-        os << describe(id) << " (var " << n.var << ", level "
-           << level_or_var(n.var) << ") -> child " << child << " (var "
-           << nodes_[child].var << ", level " << level_or_var(nodes_[child].var)
-           << ") breaks the level order";
+        os << describe(id) << " (var " << n.var << ") -> child " << child
+           << " (var " << nodes_[child].var << ") breaks the level order";
         add(Kind::kNodeStructure, os.str());
       }
     }
@@ -179,14 +146,9 @@ InvariantReport Manager::audit_invariants() const {
           break;  // dead nodes carry stale next pointers
         }
         ++chain_hits[id];
-        // Placement is keyed by the node's *level* under the current order,
-        // not its variable index — a swap that fails to re-home a node shows
-        // up here.
-        if ((internal::triple_hash(level_or_var(n.var), n.lo, n.hi) & mask) !=
-            bucket) {
+        if ((internal::triple_hash(n.var, n.lo, n.hi) & mask) != bucket) {
           std::ostringstream os;
-          os << describe(id) << " hashed to the wrong bucket " << bucket
-             << " for level " << level_or_var(n.var);
+          os << describe(id) << " hashed to the wrong bucket " << bucket;
           add(Kind::kUniqueTable, os.str());
         }
       }

@@ -17,9 +17,6 @@ using namespace internal;
 namespace {
 constexpr std::size_t kCacheInitialEntries = std::size_t{1} << 8;
 constexpr std::size_t kCacheMinEntries = std::size_t{1} << 10;
-/// kAuto never fires below this many live nodes — reordering a tiny manager
-/// costs more than it can ever save.
-constexpr std::size_t kAutoReorderFloor = std::size_t{1} << 12;
 
 std::uint64_t next_manager_serial() {
   static std::atomic<std::uint64_t> counter{0};
@@ -128,7 +125,6 @@ Manager::Manager(int num_vars) : num_vars_(num_vars) {
   nodes_.push_back(Node{-1, kZero, kZero, kNil, 1});  // constant 0
   nodes_.push_back(Node{-1, kOne, kOne, kNil, 1});    // constant 1
   total_ext_refs_ = 2;
-  ensure_level_capacity(num_vars_);
   rehash_unique(1024);
 }
 
@@ -138,15 +134,6 @@ Manager::~Manager() {
 
 void Manager::ensure_vars(int num_vars) {
   num_vars_ = std::max(num_vars_, num_vars);
-  ensure_level_capacity(num_vars_);
-}
-
-void Manager::ensure_level_capacity(int count) {
-  while (static_cast<int>(level_of_.size()) < count) {
-    const int level = static_cast<int>(level_of_.size());
-    level_of_.push_back(level);
-    var_at_.push_back(level);
-  }
 }
 
 Bdd Manager::make_external(std::uint32_t id) { return Bdd(this, id); }
@@ -164,14 +151,11 @@ void Manager::dec_ref(std::uint32_t id) {
   --total_ext_refs_;
 }
 
-// Buckets are keyed by the variable's *level*, not its index: after a swap
-// the affected nodes are re-homed, so placement always reflects the current
-// order (audited by audit_invariants).
 // hyde-hot
 std::uint32_t Manager::unique_lookup(std::int32_t var, std::uint32_t lo,
                                      std::uint32_t hi) {
   const std::size_t bucket =
-      triple_hash(level_of_[static_cast<std::size_t>(var)], lo, hi) &
+      triple_hash(var, lo, hi) &
       (unique_buckets_.size() - 1);
   for (std::uint32_t id = unique_buckets_[bucket]; id != kNil;
        id = nodes_[id].next) {
@@ -184,21 +168,9 @@ std::uint32_t Manager::unique_lookup(std::int32_t var, std::uint32_t lo,
 void Manager::unique_insert(std::uint32_t id) {
   const Node& n = nodes_[id];
   const std::size_t bucket =
-      triple_hash(level_of_[static_cast<std::size_t>(n.var)], n.lo, n.hi) &
-      (unique_buckets_.size() - 1);
+      triple_hash(n.var, n.lo, n.hi) & (unique_buckets_.size() - 1);
   nodes_[id].next = unique_buckets_[bucket];
   unique_buckets_[bucket] = id;
-}
-
-void Manager::unique_unlink(std::uint32_t id) {
-  const Node& n = nodes_[id];
-  const std::size_t bucket =
-      triple_hash(level_of_[static_cast<std::size_t>(n.var)], n.lo, n.hi) &
-      (unique_buckets_.size() - 1);
-  std::uint32_t* slot = &unique_buckets_[bucket];
-  while (*slot != id) slot = &nodes_[*slot].next;
-  *slot = nodes_[id].next;
-  nodes_[id].next = kNil;
 }
 
 void Manager::rehash_unique(std::size_t new_bucket_count) {
@@ -211,14 +183,9 @@ void Manager::rehash_unique(std::size_t new_bucket_count) {
 std::uint32_t Manager::make_node(std::int32_t var, std::uint32_t lo,
                                  std::uint32_t hi) {
   if (lo == hi) return lo;  // reduction rule
-  if (var >= static_cast<std::int32_t>(level_of_.size())) {
-    ensure_level_capacity(var + 1);
-  }
   std::uint32_t id = unique_lookup(var, lo, hi);
   if (id != kNil) return id;
-  // The hard limit is suspended mid-reorder: a swap rewrites nodes in place
-  // and must never tear halfway through (reordering shrinks the DAG anyway).
-  if (!in_reorder_ && node_limit_ != 0 &&
+  if (node_limit_ != 0 &&
       nodes_.size() - free_list_.size() >= node_limit_) {
     throw std::length_error("BDD manager node limit exceeded");
   }
@@ -233,9 +200,7 @@ std::uint32_t Manager::make_node(std::int32_t var, std::uint32_t lo,
   unique_insert(id);
   const std::size_t live = nodes_.size() - free_list_.size();
   peak_live_nodes_ = std::max(peak_live_nodes_, live);
-  // Growth rehash is deferred while a swap has levels detached from the
-  // table (rehash_unique would re-home them mid-rewrite).
-  if (!in_reorder_ && live * 2 > unique_buckets_.size()) {
+  if (live * 2 > unique_buckets_.size()) {
     rehash_unique(unique_buckets_.size() * 2);
   }
   return id;
@@ -276,47 +241,17 @@ void Manager::collect_garbage() {
 #endif
 }
 
-// Governance ladder, evaluated at operation entry points only (never
-// mid-recursion): the growth trigger (kAuto) or a blown soft budget first
-// runs GC; if the soft budget is still exceeded and a reorder mode is
-// enabled, converging sifting runs next. Only when both rungs leave the
-// manager over budget does growth continue toward the hard node_limit,
-// whose std::length_error the windowed flow converts into its
-// split/pass-through ladder.
+// Evaluated at operation entry points only (never mid-recursion), so every
+// node a recursion is building stays reachable from its pinned operands.
 void Manager::maybe_gc() {
   const std::size_t live = nodes_.size() - free_list_.size();
-  if (reorder_mode_ == ReorderMode::kAuto &&
-      live > static_cast<std::size_t>(static_cast<double>(reorder_watermark_) *
-                                      reorder_max_growth_) &&
-      live > kAutoReorderFloor) {
-    reorder_sift(reorder_options_);  // GCs internally, resets the watermark
-    return;
-  }
-  const bool soft_hit = soft_node_limit_ != 0 && live > soft_node_limit_;
-  if (live <= gc_threshold_ && !soft_hit) return;
+  if (live <= gc_threshold_) return;
   collect_garbage();
   const std::size_t after = nodes_.size() - free_list_.size();
   // Adaptive threshold: a GC that reclaims less than 25% of the pre-GC live
   // set was not worth its cost — double the threshold so the next one runs
   // against a genuinely larger population.
   if ((live - after) * 4 < live) gc_threshold_ *= 2;
-  if (soft_hit && after > soft_node_limit_ &&
-      reorder_mode_ != ReorderMode::kOff) {
-    reorder_sift(reorder_options_);
-  }
-}
-
-void Manager::set_reorder_mode(ReorderMode mode, double max_growth,
-                               const ReorderOptions& options) {
-  if (!(max_growth > 1.0)) {
-    throw std::invalid_argument(
-        "Manager::set_reorder_mode: max_growth must be > 1.0");
-  }
-  reorder_mode_ = mode;
-  reorder_max_growth_ = max_growth;
-  reorder_options_ = options;
-  reorder_watermark_ =
-      std::max<std::size_t>(nodes_.size() - free_list_.size(), 2);
 }
 
 std::size_t Manager::live_node_count() const {
@@ -403,7 +338,6 @@ ManagerStats Manager::stats() const {
   s.peak_live_nodes = peak_live_nodes_;
   s.unique_buckets = unique_buckets_.size();
   s.gc_runs = gc_runs_;
-  s.reorder_runs = reorder_runs_;
   return s;
 }
 
@@ -454,8 +388,8 @@ std::uint32_t Manager::and_rec(std::uint32_t f, std::uint32_t g) {
   if (cache_lookup(a, g, &result)) return result;
   const std::int32_t fv = nodes_[f].var;
   const std::int32_t gv = nodes_[g].var;
-  const bool f_top = level_of(fv) <= level_of(gv);
-  const bool g_top = level_of(gv) <= level_of(fv);
+  const bool f_top = fv <= gv;
+  const bool g_top = gv <= fv;
   const std::int32_t top = f_top ? fv : gv;
   const std::uint32_t f0 = f_top ? nodes_[f].lo : f;
   const std::uint32_t f1 = f_top ? nodes_[f].hi : f;
@@ -478,8 +412,8 @@ std::uint32_t Manager::or_rec(std::uint32_t f, std::uint32_t g) {
   if (cache_lookup(a, g, &result)) return result;
   const std::int32_t fv = nodes_[f].var;
   const std::int32_t gv = nodes_[g].var;
-  const bool f_top = level_of(fv) <= level_of(gv);
-  const bool g_top = level_of(gv) <= level_of(fv);
+  const bool f_top = fv <= gv;
+  const bool g_top = gv <= fv;
   const std::int32_t top = f_top ? fv : gv;
   const std::uint32_t f0 = f_top ? nodes_[f].lo : f;
   const std::uint32_t f1 = f_top ? nodes_[f].hi : f;
@@ -503,8 +437,8 @@ std::uint32_t Manager::xor_rec(std::uint32_t f, std::uint32_t g) {
   if (cache_lookup(a, g, &result)) return result;
   const std::int32_t fv = nodes_[f].var;
   const std::int32_t gv = nodes_[g].var;
-  const bool f_top = level_of(fv) <= level_of(gv);
-  const bool g_top = level_of(gv) <= level_of(fv);
+  const bool f_top = fv <= gv;
+  const bool g_top = gv <= fv;
   const std::int32_t top = f_top ? fv : gv;
   const std::uint32_t f0 = f_top ? nodes_[f].lo : f;
   const std::uint32_t f1 = f_top ? nodes_[f].hi : f;
@@ -537,12 +471,10 @@ std::uint32_t Manager::ite_rec(std::uint32_t f, std::uint32_t g,
   std::uint32_t result;
   if (cache_lookup(a, b, &result)) return result;
 
-  auto level_of_id = [this](std::uint32_t id) {
-    return id <= kOne ? INT32_MAX : level_of(nodes_[id].var);
+  auto var_of = [this](std::uint32_t id) {
+    return id <= kOne ? INT32_MAX : nodes_[id].var;
   };
-  const std::int32_t top_level =
-      std::min({level_of_id(f), level_of_id(g), level_of_id(h)});
-  const std::int32_t top = var_at(top_level);
+  const std::int32_t top = std::min({var_of(f), var_of(g), var_of(h)});
   auto cof = [this, top](std::uint32_t id, bool hi) {
     if (id <= kOne || nodes_[id].var != top) return id;
     return hi ? nodes_[id].hi : nodes_[id].lo;
@@ -615,8 +547,8 @@ bool Manager::disjoint_rec(std::uint32_t f, std::uint32_t g) {
   if (cache_lookup(a, g, &cached)) return cached != 0;
   const std::int32_t fv = nodes_[f].var;
   const std::int32_t gv = nodes_[g].var;
-  const bool f_top = level_of(fv) <= level_of(gv);
-  const bool g_top = level_of(gv) <= level_of(fv);
+  const bool f_top = fv <= gv;
+  const bool g_top = gv <= fv;
   const std::uint32_t f0 = f_top ? nodes_[f].lo : f;
   const std::uint32_t f1 = f_top ? nodes_[f].hi : f;
   const std::uint32_t g0 = g_top ? nodes_[g].lo : g;
@@ -639,7 +571,7 @@ std::uint32_t Manager::cofactor_rec(std::uint32_t f, int var, bool value) {
   const std::int32_t n_var = nodes_[f].var;
   const std::uint32_t n_lo = nodes_[f].lo;
   const std::uint32_t n_hi = nodes_[f].hi;
-  if (level_of(n_var) > level_of(var)) return f;  // var is above f's support
+  if (n_var > var) return f;  // var is above f's support
   if (n_var == var) return value ? n_hi : n_lo;
   const std::uint64_t a = op_key(kOpCofactor, f);
   const std::uint64_t b =
@@ -657,7 +589,7 @@ std::uint32_t Manager::cofactor_rec(std::uint32_t f, int var, bool value) {
 Bdd Manager::cofactor(const Bdd& f, int var, bool value) {
   check_owned(f);
   // A variable the manager has never seen cannot occur in f's support.
-  if (var < 0 || var >= static_cast<int>(level_of_.size())) return f;
+  if (var < 0 || var >= num_vars_) return f;
   maybe_gc();
   return make_external(cofactor_rec(f.id_, var, value));
 }
@@ -675,10 +607,6 @@ std::uint32_t Manager::build_cube(const std::vector<int>& vars) {
   std::vector<int> sorted = vars;
   std::sort(sorted.begin(), sorted.end());
   sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
-  if (!sorted.empty()) ensure_level_capacity(sorted.back() + 1);
-  // Cube nodes must be chained top level first, so order by current level.
-  std::sort(sorted.begin(), sorted.end(),
-            [this](int a, int b) { return level_of(a) < level_of(b); });
   std::uint32_t cube = kOne;
   for (auto it = sorted.rbegin(); it != sorted.rend(); ++it) {
     cube = make_node(*it, kZero, cube);
@@ -691,9 +619,8 @@ std::uint32_t Manager::quantify_rec(std::uint32_t f, std::uint32_t cube,
                                     bool existential) {
   if (f <= kOne) return f;
   const std::int32_t fv = nodes_[f].var;
-  const int f_level = level_of(fv);
   // Skip quantified variables above f's support: they cannot occur in f.
-  while (cube > kOne && level_of(nodes_[cube].var) < f_level) {
+  while (cube > kOne && nodes_[cube].var < fv) {
     cube = nodes_[cube].hi;
   }
   if (cube <= kOne) return f;
@@ -952,13 +879,12 @@ Bdd Manager::from_truth_table(const tt::TruthTable& table,
         var_map.empty() ? i : var_map[static_cast<std::size_t>(i)];
   }
   ensure_vars(n == 0 ? 0 : 1 + *std::max_element(map.begin(), map.end()));
-  // Table variables sorted by ascending manager *level*: the recursion
+  // Table variables sorted by ascending manager variable: the recursion
   // branches on the topmost variable first and builds bottom levels deepest.
   std::vector<int> order(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) order[static_cast<std::size_t>(i)] = i;
-  std::sort(order.begin(), order.end(), [this, &map](int a, int b) {
-    return level_of(map[static_cast<std::size_t>(a)]) <
-           level_of(map[static_cast<std::size_t>(b)]);
+  std::sort(order.begin(), order.end(), [&map](int a, int b) {
+    return map[static_cast<std::size_t>(a)] < map[static_cast<std::size_t>(b)];
   });
 
   std::function<std::uint32_t(int, std::uint64_t)> rec =

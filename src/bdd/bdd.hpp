@@ -7,20 +7,16 @@
 /// allocation-free on the hot path), external reference counting through the
 /// RAII `Bdd` handle, and mark-and-sweep garbage collection.
 ///
-/// The variable order starts as the identity order over the manager's
-/// variable indices (variable 0 at the top) and may change at runtime through
-/// in-place dynamic reordering (CUDD-style converging sifting built on an
-/// adjacent-level swap primitive; see docs/REORDER.md). A level map keeps
-/// variable *indices* stable — existing `Bdd` handles survive reorders
-/// unchanged — while the *level* of each variable moves. Everything the
-/// decomposition engine needs is provided: dedicated AND/OR/XOR/NOT kernels,
-/// ITE, cofactors, quantification, composition, variable permutation,
-/// support, satisfy-count, and conversion to/from `hyde::tt::TruthTable`.
+/// The variable order is the fixed identity order over the manager's
+/// variable indices: variable 0 is at the top, and a node's level is its
+/// variable index. Everything the decomposition engine needs is provided:
+/// dedicated AND/OR/XOR/NOT kernels, ITE, cofactors, quantification,
+/// composition, variable permutation, support, satisfy-count, and conversion
+/// to/from `hyde::tt::TruthTable`.
 ///
 /// See docs/BDD.md for the computed-table design (operation tags, lossy
-/// replacement, GC invalidation) and the tuning knobs, and docs/REORDER.md
-/// for the swap primitive, the sifting schedule, the reorder epoch contract
-/// and the memory-governance ladder.
+/// replacement, GC invalidation), the tuning knobs and the memory-governance
+/// ladder (GC, hard node limit, the windowed flow's split/pass-through).
 
 #pragma once
 
@@ -109,7 +105,6 @@ struct InvariantViolation {
     kRefCount,       ///< stored counts disagree with the handle-maintained sum
     kComputedTable,  ///< occupied slot references a dead or invalid node
     kFreeList,       ///< free list and dead-node population disagree
-    kLevelMap,       ///< level_of/var_at are not inverse permutations
   };
   Kind kind;
   std::string detail;
@@ -148,7 +143,6 @@ struct ManagerStats {
   std::size_t peak_live_nodes = 0;
   std::size_t unique_buckets = 0;
   int gc_runs = 0;
-  int reorder_runs = 0;
 
   double cache_hit_rate() const {
     const std::uint64_t total = cache_hits + cache_misses;
@@ -161,26 +155,6 @@ struct ManagerStats {
                                : static_cast<double>(live_nodes) /
                                      static_cast<double>(unique_buckets);
   }
-};
-
-/// When a manager automatically runs dynamic reordering (see
-/// Manager::set_reorder_mode).
-enum class ReorderMode {
-  kOff,   ///< never reorder automatically (explicit reorder_sift still works)
-  kSift,  ///< reorder only from the soft-budget ladder (GC first, then sift)
-  kAuto,  ///< kSift plus a growth trigger: live nodes > max_growth x the
-          ///< watermark left by the last reorder (CUDD's maxGrowth idiom)
-};
-
-/// Knobs for one in-place converging-sifting pass (Manager::reorder_sift).
-struct ReorderOptions {
-  /// Maximum converging rounds; each round sifts every candidate variable.
-  int max_rounds = 4;
-  /// Stop when a round shrinks the live-node count by less than this ratio.
-  double convergence = 0.02;
-  /// While sifting one variable, abandon a direction once the DAG grows past
-  /// this factor of its size when the variable's sift started.
-  double sift_growth = 1.2;
 };
 
 /// The BDD manager: owns the node store, unique table and computed table.
@@ -289,51 +263,10 @@ class Manager {
 
   /// Hard cap on live nodes; 0 (the default) means unlimited. Exceeding the
   /// cap makes node creation throw std::length_error — used by callers that
-  /// attempt a BDD-based computation and fall back when it blows up. The cap
-  /// is suspended while a reorder is in flight (a swap must never tear).
+  /// attempt a BDD-based computation and fall back when it blows up (the
+  /// windowed flow turns it into its split/pass-through ladder).
   void set_node_limit(std::size_t limit) { node_limit_ = limit; }
   std::size_t node_limit() const { return node_limit_; }
-
-  /// Soft node budget; 0 (the default) disables it. Crossing it at an
-  /// operation entry point first runs GC; if the manager is still above the
-  /// budget and a reorder mode is enabled, it then runs converging sifting.
-  /// Only after both rungs fail does growth continue toward the hard
-  /// node_limit (whose std::length_error the windowed flow turns into its
-  /// split/pass-through ladder). See docs/REORDER.md.
-  void set_soft_node_limit(std::size_t limit) { soft_node_limit_ = limit; }
-  std::size_t soft_node_limit() const { return soft_node_limit_; }
-
-  // -- dynamic variable reordering (sift.cpp) -------------------------------
-
-  /// Current level of a variable (0 = top). Identity until the first reorder.
-  int level_of(int var) const { return level_of_[static_cast<std::size_t>(var)]; }
-  /// Variable currently at a level. Inverse of level_of.
-  int var_at(int level) const { return var_at_[static_cast<std::size_t>(level)]; }
-  /// The current order, top level first. current_order()[l] == var_at(l).
-  std::vector<int> current_order() const { return var_at_; }
-
-  /// Monotone counter bumped once per completed reorder. Any layer that
-  /// caches node ids, levels or order-dependent results outside this manager
-  /// must record the epoch it observed and invalidate on mismatch; the
-  /// in-manager computed table and compose contexts are cleared internally.
-  std::uint64_t reorder_epoch() const { return reorder_epoch_; }
-  /// Number of completed reorders (for stats/tests).
-  int reorder_runs() const { return reorder_runs_; }
-
-  /// Runs one in-place converging-sifting pass now: GC, then sift each
-  /// candidate variable to its best level via adjacent-level swaps, repeating
-  /// until a round improves by less than options.convergence (or max_rounds).
-  /// Live handles keep their ids and functions; only levels move. Bumps the
-  /// reorder epoch and clears the computed table. Returns the live-node count
-  /// after the pass.
-  std::size_t reorder_sift(const ReorderOptions& options = {});
-
-  /// Selects when reordering fires automatically (at operation entry points;
-  /// never mid-recursion). kAuto arms a growth trigger of
-  /// max_growth x the live-node watermark left by the last reorder.
-  void set_reorder_mode(ReorderMode mode, double max_growth = 2.0,
-                        const ReorderOptions& options = {});
-  ReorderMode reorder_mode() const { return reorder_mode_; }
 
   /// Throws std::invalid_argument if the handle came from another manager.
   /// Under HYDE_CHECKED this additionally detects stale handles whose owning
@@ -413,27 +346,7 @@ class Manager {
 
   std::uint32_t unique_lookup(std::int32_t var, std::uint32_t lo, std::uint32_t hi);
   void unique_insert(std::uint32_t id);
-  /// Removes a node from its bucket chain; the node must be present under
-  /// its current (level, lo, hi) key.
-  void unique_unlink(std::uint32_t id);
   void rehash_unique(std::size_t new_bucket_count);
-
-  /// Grows the level map so every variable index below \p count has a level
-  /// (new variables enter at the bottom, preserving the identity tail).
-  void ensure_level_capacity(int count);
-
-  // In-place reordering machinery (sift.cpp). ReorderState carries the
-  // reorder-scoped internal reference counts (ext_refs + parent edges),
-  // per-variable node lists and exact per-level live sizes.
-  struct ReorderState;
-  void reorder_prepare(ReorderState& st);
-  void reorder_take_ref(ReorderState& st, std::uint32_t id);
-  void reorder_drop_ref(ReorderState& st, std::uint32_t id);
-  /// Swaps the variables at levels (upper, upper + 1); returns the live-node
-  /// delta of the swap (signed).
-  void swap_adjacent_levels(ReorderState& st, int upper);
-  /// Sifts var_at(start_level) to its best level; returns the new level.
-  int sift_one_var(ReorderState& st, int start_level, double sift_growth);
 
   int num_vars_;
   std::vector<Node> nodes_;
@@ -460,28 +373,9 @@ class Manager {
 
   std::size_t gc_threshold_ = 1u << 18;
   std::size_t node_limit_ = 0;
-  std::size_t soft_node_limit_ = 0;
   int gc_runs_ = 0;
   std::size_t peak_live_nodes_ = 2;
   std::vector<std::uint32_t> free_list_;
-
-  // Level map: level_of_[var] is the variable's current level (0 = top) and
-  // var_at_[level] its inverse. Identity until the first reorder; always
-  // covers every variable index stored in a node.
-  std::vector<int> level_of_;
-  std::vector<int> var_at_;
-
-  // Reorder governance. reorder_epoch_ is published to external caches;
-  // reorder_watermark_ is the live-node count left by the last reorder (or
-  // set_reorder_mode), against which kAuto's growth trigger compares; in_reorder_
-  // suspends the hard node limit and unique-table growth during swaps.
-  ReorderMode reorder_mode_ = ReorderMode::kOff;
-  ReorderOptions reorder_options_;
-  double reorder_max_growth_ = 2.0;
-  std::uint64_t reorder_epoch_ = 0;
-  int reorder_runs_ = 0;
-  std::size_t reorder_watermark_ = 2;
-  bool in_reorder_ = false;
 
   /// Running sum of all per-node external reference counts, maintained by
   /// inc_ref/dec_ref. The auditor recomputes the sum from the node store and

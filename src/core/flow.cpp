@@ -49,17 +49,6 @@ std::uint64_t cache_fingerprint(const FlowOptions& options) {
     std::memcpy(&tear_bits, &options.tear_penalty_scale, sizeof(tear_bits));
     mix(tear_bits);
   }
-  // Reorder knobs are result-affecting (the variable order steers cube-min
-  // costs and budget outcomes), so templates computed under different
-  // reorder policies must not be shared.
-  if (options.reorder != bdd::ReorderMode::kOff) {
-    mix(static_cast<std::uint64_t>(options.reorder));
-    std::uint64_t growth_bits = 0;
-    static_assert(sizeof(growth_bits) == sizeof(options.reorder_max_growth));
-    std::memcpy(&growth_bits, &options.reorder_max_growth,
-                sizeof(growth_bits));
-    mix(growth_bits);
-  }
   return h;
 }
 
@@ -615,14 +604,6 @@ FlowResult run_flow_once(const net::Network& input, const FlowOptions& options,
   // Declared before every Bdd local so the manager is destroyed last.
   bdd::Manager gm(std::max(2, input.num_nodes()));
   if (options.bdd_node_limit != 0) gm.set_node_limit(options.bdd_node_limit);
-  if (options.reorder != bdd::ReorderMode::kOff) {
-    gm.set_reorder_mode(options.reorder, options.reorder_max_growth);
-    // Soft budget at half the hard cap: GC, then sifting, get a chance to
-    // shrink the DAG before growth runs into the std::length_error rung.
-    if (options.bdd_node_limit != 0) {
-      gm.set_soft_node_limit(options.bdd_node_limit / 2);
-    }
-  }
   Decomposer decomposer(gm, out, options, stats);
 
   stats.collapse_mode =

@@ -92,17 +92,6 @@ struct FlowOptions {
   /// through. Result-neutral whenever the flow completes, so excluded from
   /// the NPN-cache fingerprint.
   std::size_t bdd_node_limit = 0;
-
-  /// Dynamic variable reordering in the flow's global BDD manager (see
-  /// docs/REORDER.md). kSift arms the soft-budget ladder (half the hard
-  /// bdd_node_limit when one is set), kAuto adds the growth trigger. Unlike
-  /// the node limit these are **result-affecting**: the variable
-  /// order steers one_path_count cube costs and which windows fit a budget,
-  /// so both enter the NPN-cache fingerprint.
-  bdd::ReorderMode reorder = bdd::ReorderMode::kOff;
-  /// kAuto growth trigger: reorder when live nodes exceed this factor of the
-  /// watermark left by the last reorder. Must be > 1.
-  double reorder_max_growth = 2.0;
 };
 
 /// Flow outcome counters (area is the post-sweep logic node count; the
@@ -134,7 +123,6 @@ struct FlowStats {
   std::uint64_t bdd_cache_misses = 0;
   std::uint64_t bdd_cache_overwrites = 0;
   std::uint64_t bdd_gc_runs = 0;
-  std::uint64_t bdd_reorder_runs = 0;
   std::uint64_t bdd_peak_live_nodes = 0;  ///< max over managers, not a sum
 
   // Bound-set search engine counters (decomp/search.hpp). Volatile like the
@@ -199,7 +187,6 @@ struct FlowStats {
     bdd_cache_misses += s.cache_misses;
     bdd_cache_overwrites += s.cache_overwrites;
     bdd_gc_runs += static_cast<std::uint64_t>(s.gc_runs);
-    bdd_reorder_runs += static_cast<std::uint64_t>(s.reorder_runs);
     if (s.peak_live_nodes > bdd_peak_live_nodes) {
       bdd_peak_live_nodes = s.peak_live_nodes;
     }
@@ -263,7 +250,6 @@ struct FlowStats {
     bdd_cache_misses += s.bdd_cache_misses;
     bdd_cache_overwrites += s.bdd_cache_overwrites;
     bdd_gc_runs += s.bdd_gc_runs;
-    bdd_reorder_runs += s.bdd_reorder_runs;
     bdd_peak_live_nodes = std::max(bdd_peak_live_nodes, s.bdd_peak_live_nodes);
     search_candidates_pruned += s.search_candidates_pruned;
     windows_extracted += s.windows_extracted;

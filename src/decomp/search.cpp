@@ -125,14 +125,6 @@ VarPartitionResult BoundSetSearch::select(const IsfBdd& f,
   const auto start = std::chrono::steady_clock::now();
   ++stats_.selects;
 
-  // hyde-reorder-scope: the memo keys on raw node ids of mgr_, valid only
-  // within one reorder epoch of the manager.
-  if (mgr_.reorder_epoch() != observed_epoch_) {
-    if (!memo_->table.empty()) ++stats_.memo_clears;
-    memo_->table.clear();
-    observed_epoch_ = mgr_.reorder_epoch();
-  }
-
   VarPartitionResult result;
   if (options.bound_size <= 0 ||
       options.bound_size > static_cast<int>(support.size())) {

@@ -10,7 +10,7 @@
 /// identical candidate sequence, so they resolve almost entirely out of the
 /// memo. Entries pin their root handles, which keeps node ids unique for the
 /// lifetime of the entry; the memo clears itself when it would outgrow
-/// kMemoCapacity entries and whenever the manager reorders.
+/// kMemoCapacity entries.
 ///
 /// The engine is serial: one engine per flow, called from that flow's thread.
 /// Parallelism lives at the job and window level only (`runtime::run_batch`,
@@ -39,7 +39,7 @@ struct SearchStats {
   std::uint64_t selects = 0;               ///< select() invocations
   std::uint64_t candidates_evaluated = 0;  ///< charts actually traversed
   std::uint64_t memo_hits = 0;             ///< counts served from the memo
-  std::uint64_t memo_clears = 0;           ///< capacity and reorder resets
+  std::uint64_t memo_clears = 0;           ///< capacity resets
   double seconds = 0.0;                    ///< wall-clock inside select()
 };
 
@@ -75,11 +75,6 @@ class BoundSetSearch {
 
   bdd::Manager& mgr_;
   SearchStats stats_;
-  /// Reorder epoch of mgr_ the memo was built against. Memo entries pin
-  /// their roots (ids stay unique) and column counts are order-invariant,
-  /// but the epoch contract is observed anyway: a reorder flushes the memo,
-  /// so a stale hit is impossible by construction.
-  std::uint64_t observed_epoch_ = 0;
   std::unique_ptr<Memo> memo_;
 };
 

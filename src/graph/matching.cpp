@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <queue>
 #include <stdexcept>
@@ -375,7 +376,14 @@ class Blossom {
       adj_[static_cast<std::size_t>(u)].push_back(v);
       adj_[static_cast<std::size_t>(v)].push_back(u);
     }
-    match_.assign(static_cast<std::size_t>(n), -1);
+    const std::size_t size = static_cast<std::size_t>(n);
+    match_.assign(size, -1);
+    parent_.assign(size, -1);
+    base_.resize(size);
+    for (int i = 0; i < n; ++i) base_[static_cast<std::size_t>(i)] = i;
+    used_.assign(size, 0);
+    on_path_.assign(size, 0);
+    in_blossom_.assign(size, 0);
   }
 
   std::vector<int> solve() {
@@ -390,25 +398,27 @@ class Blossom {
 
  private:
   int lca(int a, int b) {
-    std::vector<char> used(static_cast<std::size_t>(n_), 0);
+    const std::uint64_t mark = ++epoch_;
     while (true) {
       a = base_[static_cast<std::size_t>(a)];
-      used[static_cast<std::size_t>(a)] = 1;
+      on_path_[static_cast<std::size_t>(a)] = mark;
       if (match_[static_cast<std::size_t>(a)] == -1) break;
       a = parent_[static_cast<std::size_t>(match_[static_cast<std::size_t>(a)])];
     }
     while (true) {
       b = base_[static_cast<std::size_t>(b)];
-      if (used[static_cast<std::size_t>(b)]) return b;
+      if (on_path_[static_cast<std::size_t>(b)] == mark) return b;
       b = parent_[static_cast<std::size_t>(match_[static_cast<std::size_t>(b)])];
     }
   }
 
-  void mark_path(int v, int b, int child) {
+  void mark_path(int v, int b, int child, std::uint64_t mark) {
     while (base_[static_cast<std::size_t>(v)] != b) {
       const int mv = match_[static_cast<std::size_t>(v)];
-      blossom_[static_cast<std::size_t>(base_[static_cast<std::size_t>(v)])] = 1;
-      blossom_[static_cast<std::size_t>(base_[static_cast<std::size_t>(mv)])] = 1;
+      const int bv = base_[static_cast<std::size_t>(v)];
+      const int bmv = base_[static_cast<std::size_t>(mv)];
+      in_blossom_[static_cast<std::size_t>(bv)] = mark;
+      in_blossom_[static_cast<std::size_t>(bmv)] = mark;
       parent_[static_cast<std::size_t>(v)] = child;
       child = mv;
       v = parent_[static_cast<std::size_t>(mv)];
@@ -416,12 +426,17 @@ class Blossom {
   }
 
   int find_augmenting_path(int root) {
-    used_.assign(static_cast<std::size_t>(n_), 0);
-    parent_.assign(static_cast<std::size_t>(n_), -1);
-    base_.resize(static_cast<std::size_t>(n_));
-    for (int i = 0; i < n_; ++i) base_[static_cast<std::size_t>(i)] = i;
+    // Only the previous search's tree left state behind (augment reads its
+    // parent_ links, so the reset waits until the next search starts).
+    for (const int x : tree_) {
+      used_[static_cast<std::size_t>(x)] = 0;
+      parent_[static_cast<std::size_t>(x)] = -1;
+      base_[static_cast<std::size_t>(x)] = x;
+    }
+    tree_.clear();
 
     used_[static_cast<std::size_t>(root)] = 1;
+    tree_.push_back(root);
     std::queue<int> q;
     q.push(root);
     while (!q.empty()) {
@@ -437,11 +452,14 @@ class Blossom {
              parent_[static_cast<std::size_t>(match_[static_cast<std::size_t>(to)])] != -1)) {
           // Found a blossom; contract it.
           const int cur_base = lca(v, to);
-          blossom_.assign(static_cast<std::size_t>(n_), 0);
-          mark_path(v, cur_base, to);
-          mark_path(to, cur_base, v);
+          const std::uint64_t mark = ++epoch_;
+          mark_path(v, cur_base, to, mark);
+          mark_path(to, cur_base, v, mark);
+          // Index order keeps the queue order, and so the mates, fixed.
+          // Every vertex whose base lies on the blossom is in the tree.
           for (int i = 0; i < n_; ++i) {
-            if (blossom_[static_cast<std::size_t>(base_[static_cast<std::size_t>(i)])]) {
+            const int bi = base_[static_cast<std::size_t>(i)];
+            if (in_blossom_[static_cast<std::size_t>(bi)] == mark) {
               base_[static_cast<std::size_t>(i)] = cur_base;
               if (!used_[static_cast<std::size_t>(i)]) {
                 used_[static_cast<std::size_t>(i)] = 1;
@@ -451,10 +469,12 @@ class Blossom {
           }
         } else if (parent_[static_cast<std::size_t>(to)] == -1) {
           parent_[static_cast<std::size_t>(to)] = v;
+          tree_.push_back(to);
           if (match_[static_cast<std::size_t>(to)] == -1) {
             return to;  // augmenting path found
           }
           used_[static_cast<std::size_t>(match_[static_cast<std::size_t>(to)])] = 1;
+          tree_.push_back(match_[static_cast<std::size_t>(to)]);
           q.push(match_[static_cast<std::size_t>(to)]);
         }
       }
@@ -475,7 +495,12 @@ class Blossom {
   int n_;
   std::vector<std::vector<int>> adj_;
   std::vector<int> match_, parent_, base_;
-  std::vector<char> used_, blossom_;
+  /// Vertices the current search has put in its tree: the only ones whose
+  /// used_/parent_/base_ differ from the initial state.
+  std::vector<int> tree_;
+  std::vector<char> used_;
+  std::uint64_t epoch_ = 0;
+  std::vector<std::uint64_t> on_path_, in_blossom_;
 };
 
 }  // namespace

@@ -1,7 +1,6 @@
 #include "runtime/batch.hpp"
 
 #include <chrono>
-#include <cstring>
 #include <exception>
 #include <thread>
 
@@ -86,11 +85,6 @@ std::uint64_t job_fingerprint(const BatchJob& job, const BatchOptions& options,
   mix(job.seed);
   mix(static_cast<std::uint64_t>(options.verify_vectors));
   mix(static_cast<std::uint64_t>(options.cache_max_support));
-  mix(static_cast<std::uint64_t>(options.reorder));
-  std::uint64_t growth_bits = 0;
-  static_assert(sizeof(growth_bits) == sizeof(options.reorder_max_growth));
-  std::memcpy(&growth_bits, &options.reorder_max_growth, sizeof(growth_bits));
-  mix(growth_bits);
   return h;
 }
 
@@ -181,8 +175,7 @@ RunReport run_batch(const std::vector<BatchJob>& jobs,
           }
           const baseline::BaselineResult result = baseline::run_system(
               input, job.system, job.k, options.verify_vectors, job.seed,
-              shared_cache, options.cache_max_support, options.reorder,
-              options.reorder_max_growth);
+              shared_cache, options.cache_max_support);
           out.luts = result.luts;
           out.clbs = result.clbs;
           out.depth = result.depth;

@@ -54,11 +54,6 @@ struct BatchOptions {
   /// On-disk byte budget applied at flush via LRU-by-generation eviction;
   /// 0 = unlimited.
   std::uint64_t cache_max_bytes = 0;
-  /// Dynamic variable reordering inside each job's flow manager
-  /// (docs/REORDER.md). Result-affecting — part of the NPN-cache
-  /// fingerprint — but still bit-identical across worker counts.
-  bdd::ReorderMode reorder = bdd::ReorderMode::kOff;
-  double reorder_max_growth = 2.0;
 };
 
 /// Number of workers to use when the caller has no preference: the hardware

@@ -50,7 +50,6 @@ void append_volatile_stats(std::string& out, const core::FlowStats& s,
   out += ", \"cache_misses\": " + std::to_string(s.bdd_cache_misses);
   out += ", \"cache_overwrites\": " + std::to_string(s.bdd_cache_overwrites);
   out += ", \"gc_runs\": " + std::to_string(s.bdd_gc_runs);
-  out += ", \"reorder_runs\": " + std::to_string(s.bdd_reorder_runs);
   out += ", \"peak_live_nodes\": " + std::to_string(s.bdd_peak_live_nodes);
   out += "}";
   out += sep;
@@ -196,7 +195,7 @@ std::string to_csv(const RunReport& report) {
       "circuit,system,k,seed,luts,clbs,depth,verified,error,"
       "decomposition_steps,shannon_fallbacks,hyper_groups,encoder_runs,"
       "encoder_random_kept,collapse_mode,cache_lookups,seconds,"
-      "bdd_cache_hits,bdd_cache_misses,bdd_gc_runs,bdd_reorder_runs,"
+      "bdd_cache_hits,bdd_cache_misses,bdd_gc_runs,"
       "bdd_peak_live_nodes,"
       "search_selects,search_evaluated,search_memo_hits,"
       "varpart_seconds,classes_seconds,encoding_seconds,mapping_seconds,"
@@ -219,7 +218,6 @@ std::string to_csv(const RunReport& report) {
            std::to_string(job.stats.bdd_cache_hits) + "," +
            std::to_string(job.stats.bdd_cache_misses) + "," +
            std::to_string(job.stats.bdd_gc_runs) + "," +
-           std::to_string(job.stats.bdd_reorder_runs) + "," +
            std::to_string(job.stats.bdd_peak_live_nodes) + "," +
            std::to_string(job.stats.search_selects) + "," +
            std::to_string(job.stats.search_candidates_evaluated) + "," +

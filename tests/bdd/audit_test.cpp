@@ -132,39 +132,6 @@ TEST(AuditTest, DetectsLiveNodeOnFreeList) {
   EXPECT_TRUE(report.has(Kind::kFreeList)) << report.to_string();
 }
 
-TEST(AuditTest, DetectsDesynchronizedLevelMap) {
-  Manager m(8);
-  const Bdd f = build_some_function(m);
-  (void)f;
-  // Variable 2 claims level 5, but var_at(5) still names variable 5: the
-  // two arrays are no longer inverse permutations.
-  ManagerTestPeer::corrupt_level_map(m, 2, 5);
-  const InvariantReport report = m.audit_invariants();
-  ASSERT_FALSE(report.ok());
-  EXPECT_TRUE(report.has(Kind::kLevelMap)) << report.to_string();
-}
-
-TEST(AuditTest, DetectsTornAdjacentLevelSwap) {
-  Manager m(8);
-  // Several nodes on the two top levels so a hash coincidence cannot mask
-  // the wrong-bucket defect.
-  const Bdd f = (m.var(0) & m.var(1)) | (m.var(0) ^ m.var(2)) |
-                (m.nvar(1) & m.var(3));
-  (void)f;
-  ASSERT_TRUE(m.audit_invariants().ok());
-  // Flip the level map for levels (0, 1) without touching a single node —
-  // the state a swap interrupted between its map flip and its unique-table
-  // exchange would leave behind.
-  ManagerTestPeer::tear_swap(m, 0);
-  const InvariantReport report = m.audit_invariants();
-  ASSERT_FALSE(report.ok());
-  // Both top-level node populations now sit in buckets keyed by their old
-  // levels, and the (old) upper node branches on a variable that the torn
-  // map places *below* its own child's.
-  EXPECT_TRUE(report.has(Kind::kUniqueTable)) << report.to_string();
-  EXPECT_TRUE(report.has(Kind::kNodeStructure)) << report.to_string();
-}
-
 TEST(AuditTest, CheckInvariantsThrowsWithReportText) {
   Manager m(8);
   const Bdd f = build_some_function(m);

@@ -158,8 +158,8 @@ std::vector<int> support_by_cofactors(Manager& mgr, const Bdd& f) {
 }
 
 TEST(Bdd, SupportOfSmallFunctionsInALargeManager) {
-  // support() reuses its visit marks across calls; node ids freed by GC and
-  // renumbered levels after a reorder must not leak stale marks.
+  // support() reuses its visit marks across calls; node ids freed by GC must
+  // not leak stale marks.
   constexpr int kVars = 20;
   Manager mgr(kVars);
   std::mt19937_64 rng(17);
@@ -191,8 +191,6 @@ TEST(Bdd, SupportOfSmallFunctionsInALargeManager) {
   check_small_functions(1);
 
   big = build_large();
-  mgr.reorder_sift();
-  EXPECT_GE(mgr.reorder_runs(), 1);
   check_small_functions(2);
   EXPECT_EQ(mgr.support(big), support_by_cofactors(mgr, big));
 }
@@ -284,6 +282,33 @@ TEST(Bdd, GarbageCollectionPreservesLiveNodes) {
   EXPECT_EQ(mgr.node_count(keep), 16u);
   // And new operations still work and produce canonical results.
   EXPECT_EQ(keep & mgr.var(0), keep);
+}
+
+TEST(Bdd, NodeLimitAloneThrowsLengthError) {
+  // A union of pseudo-random full-support minterms cannot stay under a
+  // 128-node cap; the manager must refuse to grow past it with the
+  // std::length_error the windowed flow turns into split/pass-through.
+  const auto build = [](Manager& mgr) {
+    Bdd f = mgr.zero();
+    std::uint64_t state = 0xDEADBEEFCAFEF00Dull;
+    for (int cube = 0; cube < 64; ++cube) {
+      state = state * 6364136223846793005ull + 1442695040888963407ull;
+      Bdd minterm = mgr.one();
+      for (int v = 0; v < 20; ++v) {
+        minterm =
+            minterm & (((state >> v) & 1) != 0 ? mgr.var(v) : mgr.nvar(v));
+      }
+      f = f | minterm;
+    }
+    return f;
+  };
+  Manager limited(32);
+  limited.set_node_limit(128);
+  EXPECT_EQ(limited.node_limit(), 128u);
+  EXPECT_THROW(build(limited), std::length_error);
+
+  Manager unlimited(32);
+  EXPECT_GT(unlimited.node_count(build(unlimited)), 128u);
 }
 
 TEST(Bdd, EnsureVarsGrows) {

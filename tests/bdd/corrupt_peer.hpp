@@ -57,29 +57,6 @@ struct ManagerTestPeer {
   static std::size_t free_list_size(const Manager& m) {
     return m.free_list_.size();
   }
-
-  /// Desynchronizes the level map: points a variable at a level whose
-  /// var_at entry still names someone else (the map is no longer a pair of
-  /// inverse permutations).
-  static void corrupt_level_map(Manager& m, int var, int level) {
-    m.level_of_[static_cast<std::size_t>(var)] = level;
-  }
-
-  /// A torn adjacent-level swap: the level map advances (as the first step
-  /// of a real swap does) but no node is detached, rewritten or re-homed —
-  /// exactly the state a swap interrupted between its map flip and its
-  /// unique-table exchange would leave behind. Nodes of both levels now sit
-  /// in buckets keyed by their *old* levels, and any upper-level node that
-  /// depends on the lower variable breaks the level order.
-  static void tear_swap(Manager& m, int upper_level) {
-    const std::size_t u = static_cast<std::size_t>(upper_level);
-    const int x = m.var_at_[u];
-    const int y = m.var_at_[u + 1];
-    m.var_at_[u] = y;
-    m.var_at_[u + 1] = x;
-    m.level_of_[static_cast<std::size_t>(x)] = upper_level + 1;
-    m.level_of_[static_cast<std::size_t>(y)] = upper_level;
-  }
 };
 
 }  // namespace hyde::bdd

@@ -28,7 +28,6 @@ FlowStats filled(int base, bool collapse) {
   s.bdd_cache_misses = u(10);
   s.bdd_cache_overwrites = u(11);
   s.bdd_gc_runs = u(12);
-  s.bdd_reorder_runs = u(13);
   s.bdd_peak_live_nodes = u(14);
   s.search_selects = u(15);
   s.search_candidates_evaluated = u(16);
@@ -80,7 +79,6 @@ TEST(FlowStatsMerge, SumsCountsAndSecondsAndTakesTheMaxOfPeaks) {
   EXPECT_EQ(into.bdd_cache_misses, 110u + 20u);
   EXPECT_EQ(into.bdd_cache_overwrites, 111u + 21u);
   EXPECT_EQ(into.bdd_gc_runs, 112u + 22u);
-  EXPECT_EQ(into.bdd_reorder_runs, 113u + 23u);
   EXPECT_EQ(into.bdd_peak_live_nodes, 114u);
   EXPECT_EQ(into.search_selects, 115u + 25u);
   EXPECT_EQ(into.search_candidates_evaluated, 116u + 26u);

@@ -10,7 +10,7 @@ long MemoTable::lookup(const bdd::Bdd& f) {
 long pinned_use(bdd::Manager& mgr, const bdd::Bdd& f, const bdd::Bdd& g) {
   const long raw = f.id();
   const bdd::Bdd h = mgr.bdd_and(f, g);
-  return raw + h.id();  // hyde-pinned: f pins the node; no auto-reorder here
+  return raw + h.id();  // hyde-pinned: f pins the node across the GC
 }
 
 bdd::Bdd across(bdd::Manager& a, bdd::Manager& b) {

@@ -98,36 +98,6 @@ TEST(HydeLintTest, UnboundMarkerIsDiagnosedAndDoesNotLatch) {
   EXPECT_EQ(got, want);
 }
 
-TEST(HydeLintTest, ReportsEpochlessReorderScopeWithRawLevelReads) {
-  const auto diags = lint_content("src/fake/levels.cpp",
-                                  fixture("reorder_scope_bad.cpp"), {});
-  const auto got = summarize(diags);
-  const std::vector<std::pair<int, std::string>> want = {
-      {6, "reorder-epoch"},  // the marker: region never checks the epoch
-      {8, "reorder-epoch"},  // level_of read inside the epoch-less region
-      {9, "reorder-epoch"},  // var_at read inside the epoch-less region
-  };
-  EXPECT_EQ(got, want);
-}
-
-TEST(HydeLintTest, ReorderScopeThatChecksEpochIsClean) {
-  const auto diags = lint_content("src/fake/levels.cpp",
-                                  fixture("reorder_scope_good.cpp"), {});
-  EXPECT_TRUE(diags.empty());
-}
-
-TEST(HydeLintTest, UnboundReorderScopeMarkerIsDiagnosedAndDoesNotLatch) {
-  // A marker over a bodiless declaration must be reported as dangling and
-  // must not flag the epoch-free function that opens a brace later on.
-  const auto diags = lint_content("src/fake/levels.cpp",
-                                  fixture("reorder_scope_unbound.cpp"), {});
-  const auto got = summarize(diags);
-  const std::vector<std::pair<int, std::string>> want = {
-      {5, "reorder-epoch"},  // the dangling marker; later_fn stays clean
-  };
-  EXPECT_EQ(got, want);
-}
-
 TEST(HydeLintTest, ReportsIostreamInLibraryCode) {
   const auto diags =
       lint_content("src/fake/print.cpp", fixture("lib_iostream.cpp"), {});
@@ -202,7 +172,7 @@ TEST(HydeLintTest, ReportsHandleLifetimeViolationsWithExactLines) {
       {5, "handle-lifetime"},   // memo_.find(f.id()): raw id as container key
       {7, "handle-lifetime"},   // memo_[f.id()]: same, operator[]
       {11, "handle-lifetime"},  // .id() off a temporary handle
-      {18, "handle-lifetime"},  // raw reused after a GC/reorder-capable call
+      {18, "handle-lifetime"},  // raw reused after a GC-capable call
       {23, "handle-lifetime"},  // handle from manager a into kernel of b
   };
   EXPECT_EQ(got, want);
@@ -400,13 +370,61 @@ TEST(HydeLintProjectTest, DeadKnobFlagsFieldUnreachableFromCliAndReport) {
        "  int dead_knob = 2;\n"
        "};\n"},
       {"examples/hyde_cli.cpp",
-       "int main() { int live_knob = 3; return live_knob; }\n"},
+       "int main() { FlowOptions o; o.live_knob = 3; return 0; }\n"},
       {"src/runtime/report.cpp", "int report_nothing() { return 0; }\n"},
   };
   const auto diags = lint_project(files, {}, "", false);
   ASSERT_EQ(diags.size(), 1u);
   EXPECT_EQ(diags[0].file, "src/core/opts.hpp");
   EXPECT_EQ(diags[0].line, 4);
+  EXPECT_EQ(diags[0].rule, "dead-knob");
+}
+
+TEST(HydeLintProjectTest, DeadKnobCollectsFieldsWithBraceInitInitializers) {
+  // A brace-init inside an initializer must not end the statement, and a
+  // member-function body must not swallow the field after it.
+  const std::vector<ProjectFile> files = {
+      {"src/part/opts.hpp",
+       "#pragma once\n"
+       "struct WindowedFlowOptions {\n"
+       "  std::size_t dead_budget = std::size_t{1} << 20;\n"
+       "  bool valid() const { return dead_budget > 0; }\n"
+       "  int dead_after = 0;\n"
+       "  std::vector<int> live_list{1, 2};\n"
+       "};\n"},
+      {"examples/hyde_cli.cpp",
+       "int main() { WindowedFlowOptions o; return o.live_list[0]; }\n"},
+      {"src/runtime/report.cpp", "int report_nothing() { return 0; }\n"},
+  };
+  const auto diags = lint_project(files, {}, "", false);
+  ASSERT_EQ(diags.size(), 2u);
+  EXPECT_EQ(diags[0].line, 3);
+  EXPECT_NE(diags[0].message.find("WindowedFlowOptions::dead_budget"),
+            std::string::npos);
+  EXPECT_EQ(diags[1].line, 5);
+  EXPECT_NE(diags[1].message.find("WindowedFlowOptions::dead_after"),
+            std::string::npos);
+}
+
+TEST(HydeLintProjectTest, DeadKnobIgnoresBareIdentifiersOfTheSameName) {
+  // Only a member access reaches a knob: a CLI local and a report member
+  // type that merely share the field's name must not hide it.
+  const std::vector<ProjectFile> files = {
+      {"src/core/opts.hpp",
+       "#pragma once\n"
+       "struct EncoderOptions {\n"
+       "  int search = 1;\n"
+       "};\n"},
+      {"examples/hyde_cli.cpp",
+       "int main() { int search = 2; return search; }\n"},
+      {"src/runtime/report.hpp",
+       "#pragma once\n"
+       "struct RunReport { SearchStats search; };\n"},
+  };
+  const auto diags = lint_project(files, {}, "", false);
+  ASSERT_EQ(diags.size(), 1u);
+  EXPECT_EQ(diags[0].file, "src/core/opts.hpp");
+  EXPECT_EQ(diags[0].line, 3);
   EXPECT_EQ(diags[0].rule, "dead-knob");
 }
 

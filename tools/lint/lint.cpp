@@ -83,14 +83,6 @@ const std::vector<TokenRule>& iostream_rules() {
   return rules;
 }
 
-/// Raw level-map / variable-map reads: the values these return are remapped
-/// by every dynamic reorder, so caching them across calls is only sound
-/// within one reorder epoch.
-const std::regex& raw_level_pattern() {
-  static const std::regex pattern(R"(\b(level_of|var_at)\s*\()");
-  return pattern;
-}
-
 // ---------------------------------------------------------------------------
 // Token helpers for the semantic rule families.
 
@@ -131,16 +123,14 @@ std::size_t match_forward(const std::vector<Token>& tokens, std::size_t open,
   return tokens.size();
 }
 
-/// Manager kernel entry points: every one of them runs `maybe_gc()`, which
-/// in auto-reorder mode runs `reorder_sift()` — so any of these calls can
-/// remap or free raw node ids.
+/// Manager kernel entry points: every one of them runs `maybe_gc()`, so any
+/// of these calls can free (and later recycle) raw node ids.
 bool gc_capable_call(const std::string& name) {
   static const char* const kCalls[] = {
       "ite",         "cofactor",      "cofactor_cube", "exists",
       "forall",      "compose",       "vector_compose", "permute",
       "bdd_and",     "bdd_or",        "bdd_xor",        "bdd_not",
-      "from_truth_table", "transfer", "collect_garbage", "maybe_gc",
-      "reorder_sift"};
+      "from_truth_table", "transfer", "collect_garbage", "maybe_gc"};
   return any_of_names(name, kCalls, std::size(kCalls));
 }
 
@@ -269,15 +259,13 @@ void check_handle_lifetime(const LexedFile& lexed,
                            const std::vector<FunctionInfo>& functions,
                            const Report& report) {
   const std::vector<Token>& tokens = lexed.tokens;
-  const std::vector<MarkerRegion> reorder_scopes =
-      find_marker_regions(lexed, "hyde-reorder-scope");
   const auto pinned = [&](int line) {
     return lexed.comment_on_line_contains(line, "hyde-pinned");
   };
 
   // (a) Raw node ids keyed into long-lived containers: `member_.find(x.id())`
   // and `member_[x.id()]`. The container outlives the statement, the pinning
-  // handle does not have to — and GC or a reorder then leaves dangling keys.
+  // handle does not have to — and GC then leaves dangling keys.
   for (std::size_t i = 0; i + 1 < tokens.size(); ++i) {
     if (!ident(tokens[i]) || tokens[i].text.size() < 2 ||
         tokens[i].text.back() != '_') {
@@ -305,7 +293,7 @@ void check_handle_lifetime(const LexedFile& lexed,
                  "raw node id keyed into a long-lived container",
                  "key on the Bdd handle itself (bdd::BddHash) so the entry "
                  "pins its node, or annotate with // hyde-pinned and state "
-                 "what keeps the id alive and un-reordered");
+                 "what keeps the id alive");
         }
       }
     }
@@ -340,10 +328,8 @@ void check_handle_lifetime(const LexedFile& lexed,
            "every use of the id), or annotate with // hyde-pinned");
   }
 
-  // (c) Id locals reused after a kernel call that can GC or reorder: every
-  // kernel runs maybe_gc(), which in auto-reorder mode sifts — and a sift
-  // remaps ids even for pinned handles. hyde-reorder-scope regions are
-  // exempt (the reorder-epoch rule audits those).
+  // (c) Id locals reused after a kernel call that can GC: every kernel runs
+  // maybe_gc(), which frees and recycles every id no handle pins.
   // (d) Handles applied on a different manager than the one that made them.
   for (const FunctionInfo& fn : functions) {
     std::vector<std::string> id_locals;
@@ -367,7 +353,7 @@ void check_handle_lifetime(const LexedFile& lexed,
           ident(tokens[i + 5]) && handle_factory(tokens[i + 5].text)) {
         owners.emplace_back(tokens[i + 1].text, tokens[i + 3].text);
       }
-      // Kernel call `mgr.kernel(args...)`: a GC/reorder barrier, and the
+      // Kernel call `mgr.kernel(args...)`: a GC barrier, and the
       // cross-manager check point.
       if (ident(tokens[i]) && i + 1 < end && punct(tokens[i + 1], "(") &&
           gc_capable_call(tokens[i].text)) {
@@ -398,13 +384,13 @@ void check_handle_lifetime(const LexedFile& lexed,
             std::find(id_locals.begin(), id_locals.end(), tokens[i].text);
         if (it != id_locals.end()) {
           const int line = tokens[i].line;
-          if (!line_in_regions(reorder_scopes, line) && !pinned(line)) {
+          if (!pinned(line)) {
             report(line, "handle-lifetime",
                    "raw node id '" + tokens[i].text +
-                       "' used after a kernel call that can GC or reorder",
+                       "' used after a kernel call that can GC",
                    "re-read .id() from the pinning Bdd handle after the "
-                   "call (auto-reorder remaps ids), or guard the cached id "
-                   "with the reorder epoch in a hyde-reorder-scope region");
+                   "call, or annotate with // hyde-pinned and state what "
+                   "keeps the node alive");
           }
           id_locals.erase(it);  // one finding per local is enough
         }
@@ -638,37 +624,6 @@ std::vector<Diagnostic> lint_lexed(const std::string& path,
   int hot_depth = 0;
   int hot_marker_line = 0;
 
-  // Reorder-scope tracking, same binding mechanics as hyde-hot: a
-  // `// hyde-reorder-scope` comment marks a region that intentionally holds
-  // raw levels or node ids across calls (docs/REORDER.md). Such a region
-  // must consult `reorder_epoch` somewhere inside — capture it with the
-  // cached state, compare it before reuse — or the cache replays stale
-  // levels after the first reorder. The check is closed out when the region
-  // ends, because the epoch mention may legitimately follow the raw reads.
-  bool scope_pending = false;
-  int scope_depth = 0;
-  int scope_marker_line = 0;
-  bool scope_has_epoch = false;
-  std::vector<int> scope_raw_reads;
-
-  const auto close_scope = [&]() {
-    if (!scope_has_epoch) {
-      report(scope_marker_line, "reorder-epoch",
-             "hyde-reorder-scope region never checks reorder_epoch",
-             "capture Manager::reorder_epoch() alongside the cached state "
-             "and compare it before every reuse");
-      for (const int read_line : scope_raw_reads) {
-        report(read_line, "reorder-epoch",
-               "raw level/id read cached in a region that ignores the "
-               "reorder epoch",
-               "levels and variable positions move on every reorder; gate "
-               "the cached value on reorder_epoch()");
-      }
-    }
-    scope_has_epoch = false;
-    scope_raw_reads.clear();
-  };
-
   for (std::size_t i = 0; i < lines.size(); ++i) {
     const int line_no = static_cast<int>(i) + 1;
     const std::string& c = code[i];
@@ -701,49 +656,6 @@ std::vector<Diagnostic> lint_lexed(const std::string& path,
              "hyde-hot marker does not bind to a function body",
              "place the marker directly above (or on) the line that opens "
              "the function it covers");
-    }
-
-    const bool scope_marker_here =
-        marker_on_line(lexed, line_no, "hyde-reorder-scope");
-    if (scope_marker_here) {
-      scope_pending = true;
-      scope_marker_line = line_no;
-      scope_has_epoch = false;
-      scope_raw_reads.clear();
-    }
-    const bool line_in_scope =
-        scope_depth > 0 ||
-        (scope_pending && c.find('{') != std::string::npos);
-    bool scope_closed = false;
-    if (scope_pending || scope_depth > 0) {
-      for (const char ch : c) {
-        if (ch == '{') {
-          scope_depth += 1;
-          scope_pending = false;
-        } else if (ch == '}') {
-          if (scope_depth > 0) scope_depth -= 1;
-          if (scope_depth == 0 && !scope_pending) {
-            scope_closed = true;
-            break;
-          }
-        }
-      }
-    }
-    if (line_in_scope) {
-      if (c.find("reorder_epoch") != std::string::npos) {
-        scope_has_epoch = true;
-      }
-      if (std::regex_search(c, raw_level_pattern())) {
-        scope_raw_reads.push_back(line_no);
-      }
-    }
-    if (scope_closed) close_scope();
-    if (scope_pending && line_no - scope_marker_line >= kMarkerBindWindow) {
-      scope_pending = false;
-      report(scope_marker_line, "reorder-epoch",
-             "hyde-reorder-scope marker does not bind to a braced region",
-             "place the marker directly above (or on) the line that opens "
-             "the region holding the cached levels");
     }
 
     // The marker line itself is exempt from the token rules: it is
@@ -781,16 +693,6 @@ std::vector<Diagnostic> lint_lexed(const std::string& path,
            "place the marker directly above (or on) the line that opens "
            "the function it covers");
   }
-
-  if (scope_pending) {
-    report(scope_marker_line, "reorder-epoch",
-           "hyde-reorder-scope marker does not bind to a braced region",
-           "place the marker directly above (or on) the line that opens "
-           "the region holding the cached levels");
-  }
-  // A region still open at end of file (truncated fixture or unbalanced
-  // braces) is judged on what it contained.
-  if (scope_depth > 0) close_scope();
 
   if (is_header(path)) {
     bool has_pragma_once = false;

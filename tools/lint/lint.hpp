@@ -23,21 +23,13 @@
 ///                        allowlist)
 ///  - `include-hygiene`   headers carry #pragma once, no `#include "../`,
 ///                        no `using namespace` in headers
-///  - `reorder-epoch`     regions marked `// hyde-reorder-scope` (code that
-///                        intentionally caches raw BDD levels or node ids
-///                        across calls — both are remapped by dynamic
-///                        variable reordering, see docs/REORDER.md) must
-///                        mention `reorder_epoch` inside the region; raw
-///                        `level_of(` / `var_at(` reads in an epoch-less
-///                        region are flagged line-by-line, and a marker that
-///                        never binds to a braced region is itself diagnosed
 ///  - `handle-lifetime`   under src/ (except src/bdd/, whose manager
 ///                        internals legitimately manipulate raw slots): a
 ///                        raw node id must not outlive the `Bdd` handle that
 ///                        pins it — no `.id()` keys in long-lived (member)
 ///                        containers, no ids taken off temporary handles,
 ///                        no id locals reused after a kernel call that can
-///                        GC or reorder, no handles passed to a different
+///                        GC, no handles passed to a different
 ///                        manager than the one that made them. Escape:
 ///                        `// hyde-pinned` on the flagged line (say why).
 ///  - `lock-discipline`   under src/part/ and src/runtime/: a function

@@ -36,9 +36,21 @@ struct KnobField {
   int line = 0;
 };
 
+/// True iff the depth-1 `{` at \p open starts a member-function body (the
+/// token before it closes a parameter list or is a trailing qualifier).
+/// Any other brace — a brace-init such as `std::size_t{1} << 20`, a nested
+/// type — belongs to the statement in progress.
+bool opens_function_body(const std::vector<Token>& tokens, std::size_t open) {
+  if (open == 0) return false;
+  const Token& prev = tokens[open - 1];
+  return punct(prev, ")") || ident(prev, "const") || ident(prev, "noexcept") ||
+         ident(prev, "override") || ident(prev, "final");
+}
+
 /// Extracts data-member names from `struct <Option> { ... }` bodies: per
 /// depth-1 statement, the identifier before `=` / `{` / `;` — skipping
-/// statements that declare functions, nested types, or aliases.
+/// statements that declare functions, nested types, or aliases. A statement
+/// ends at a depth-1 `;` or at the `}` closing a member-function body.
 void collect_option_fields(const std::string& path, const LexedFile& lexed,
                            std::vector<KnobField>* out) {
   const std::vector<Token>& tokens = lexed.tokens;
@@ -50,17 +62,21 @@ void collect_option_fields(const std::string& path, const LexedFile& lexed,
     }
     const std::string& struct_name = tokens[i + 1].text;
     int depth = 0;
+    bool in_body = false;
     std::size_t stmt_begin = i + 3;
     for (std::size_t j = i + 2; j < tokens.size(); ++j) {
       if (punct(tokens[j], "{")) {
+        if (depth == 1) in_body = opens_function_body(tokens, j);
         ++depth;
-        stmt_begin = j + 1;
         continue;
       }
       if (punct(tokens[j], "}")) {
         --depth;
         if (depth == 0) break;
-        stmt_begin = j + 1;
+        if (depth == 1 && in_body) {
+          in_body = false;
+          stmt_begin = j + 1;
+        }
         continue;
       }
       if (depth != 1 || !punct(tokens[j], ";")) continue;
@@ -144,9 +160,10 @@ std::vector<Diagnostic> lint_project(const std::vector<ProjectFile>& files,
   };
 
   // --- dead-knob -----------------------------------------------------------
-  // Reachability roots: identifiers mentioned anywhere in the CLI or the
-  // report layer. A knob name absent from both can neither be set from the
-  // outside nor surfaced in results.
+  // Reachability roots: member accesses (`.name` / `->name`) in the CLI or
+  // the report layer. A knob never accessed there can neither be set from
+  // the outside nor surfaced in results; a bare identifier of the same name
+  // (a local, a parameter, another struct's type) does not count.
   std::set<std::string> reachable;
   bool have_cli = false;
   bool have_report = false;
@@ -156,8 +173,12 @@ std::vector<Diagnostic> lint_project(const std::vector<ProjectFile>& files,
     if (!cli && !rep) continue;
     have_cli = have_cli || cli;
     have_report = have_report || rep;
-    for (const Token& t : lexed[i].tokens) {
-      if (ident(t)) reachable.insert(t.text);
+    const std::vector<Token>& tokens = lexed[i].tokens;
+    for (std::size_t t = 1; t < tokens.size(); ++t) {
+      if (ident(tokens[t]) &&
+          (punct(tokens[t - 1], ".") || punct(tokens[t - 1], "->"))) {
+        reachable.insert(tokens[t].text);
+      }
     }
   }
   if (have_cli && have_report) {

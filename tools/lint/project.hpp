@@ -8,11 +8,12 @@
 ///
 ///  - `dead-knob`        a field of FlowOptions / BatchOptions /
 ///                       EncoderOptions / WindowOptions /
-///                       WindowedFlowOptions whose name is never
-///                       mentioned in the CLI (examples/hyde_cli.cpp) nor in
-///                       the report layer (src/runtime/report.*) is
-///                       unreachable: nothing can set it from the outside
-///                       and nothing surfaces it. The rule only arms when
+///                       WindowedFlowOptions never accessed as a member
+///                       (`.field` / `->field`) in the CLI
+///                       (examples/hyde_cli.cpp) nor in the report layer
+///                       (src/runtime/report.*) is unreachable: nothing can
+///                       set it from the outside and nothing surfaces it.
+///                       The rule only arms when
 ///                       both a CLI file and a report file are in the
 ///                       scanned set, so partial scans (the src/-only CTest)
 ///                       stay silent instead of declaring everything dead.

@@ -60,13 +60,10 @@ const RuleMeta kRules[] = {
     {"include-hygiene",
      "Headers carry #pragma once; no parent-relative includes; no `using "
      "namespace` in headers; no include cycles."},
-    {"reorder-epoch",
-     "Regions marked hyde-reorder-scope cache raw BDD levels or node ids and "
-     "must gate every reuse on Manager::reorder_epoch()."},
     {"handle-lifetime",
      "A raw node id must not outlive the Bdd handle pinning it: no id keys "
      "in long-lived containers, no ids off temporaries, no reuse across "
-     "kernel calls that can GC or reorder, no cross-manager handle mixing."},
+     "kernel calls that can GC, no cross-manager handle mixing."},
     {"lock-discipline",
      "Functions taking X and X_mutex parameters must confine uses of X to "
      "hyde-locked(X_mutex) regions or forward the mutex with the value."},

@@ -188,12 +188,4 @@ bool marker_on_line(const LexedFile& lexed, int line,
   return false;
 }
 
-bool line_in_regions(const std::vector<MarkerRegion>& regions, int line) {
-  return std::any_of(regions.begin(), regions.end(),
-                     [&](const MarkerRegion& r) {
-                       return r.bound && line >= r.first_line &&
-                              line <= r.last_line;
-                     });
-}
-
 }  // namespace hyde::lint

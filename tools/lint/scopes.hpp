@@ -62,8 +62,4 @@ std::vector<MarkerRegion> find_marker_regions(const LexedFile& lexed,
 bool marker_on_line(const LexedFile& lexed, int line,
                     const std::string& marker);
 
-/// True iff `line` lies inside a bound region of `regions` (inclusive of
-/// the opening and closing lines).
-bool line_in_regions(const std::vector<MarkerRegion>& regions, int line);
-
 }  // namespace hyde::lint
