@@ -164,8 +164,7 @@ hyde::decomp::DecompSpec chart_spec(Manager& mgr, const Bdd& f, int num_vars,
   return spec;
 }
 
-/// Column counting at growing bound-set sizes: the recursive-cofactor
-/// reference vs whatever count_columns dispatches to in this kernel.
+/// Column counting at growing bound-set sizes.
 std::vector<WorkloadResult> bench_count_columns(int max_bound) {
   const int n = 14;
   std::vector<WorkloadResult> results;
@@ -182,19 +181,11 @@ std::vector<WorkloadResult> bench_count_columns(int max_bound) {
     res.seconds = seconds_since(start);
     res.checksum = static_cast<std::uint64_t>(count);
     results.push_back(res);
-
-    WorkloadResult cut;
-    cut.name = "count_columns_cut_x" + std::to_string(bound_size);
-    const auto cut_start = std::chrono::steady_clock::now();
-    const int cut_count = hyde::decomp::count_columns_via_cut(spec);
-    cut.seconds = seconds_since(cut_start);
-    cut.checksum = static_cast<std::uint64_t>(cut_count);
-    results.push_back(cut);
   }
   return results;
 }
 
-/// Full chart construction (patterns + indicators + minterm lists).
+/// Full chart construction (patterns + indicators).
 std::vector<WorkloadResult> bench_enumerate_columns(int max_bound) {
   const int n = 14;
   std::vector<WorkloadResult> results;
@@ -209,8 +200,14 @@ std::vector<WorkloadResult> bench_enumerate_columns(int max_bound) {
     const auto start = std::chrono::steady_clock::now();
     const auto columns = hyde::decomp::enumerate_columns(spec);
     res.seconds = seconds_since(start);
+    // The bound set is variables 0..bound_size-1, so an indicator's
+    // satisfy count over them is its column's bound-minterm count.
     std::uint64_t checksum = columns.size();
-    for (const auto& c : columns) checksum += c.minterms.size() * 31;
+    for (const auto& c : columns) {
+      checksum +=
+          static_cast<std::uint64_t>(mgr.sat_count(c.indicator, bound_size)) *
+          31;
+    }
     res.checksum = checksum;
     results.push_back(res);
   }

@@ -32,7 +32,6 @@
 ///   --passes <n>          flow re-applications (default 1)
 ///   --cache-max-support <n>  NPN-cache support ceiling (default 7)
 ///   --node-limit <n>      live-BDD-node hard cap (0 = unlimited)
-///   --tear-penalty <x>    encoder tearing-penalty weight (default 1.0)
 ///
 /// Windowed mode handles netlists too large to decompose whole by
 /// resynthesizing bounded windows (src/part/) and stitching them back:
@@ -120,7 +119,7 @@ int usage() {
                "[--dc-policy columns|clique] [--no-hyper] "
                "[--group-choice auto|always|never] [--ppi-hard-mu] "
                "[--max-group-size n] [--collapse-support n] [--passes n] "
-               "[--cache-max-support n] [--node-limit n] [--tear-penalty x]\n"
+               "[--cache-max-support n] [--node-limit n]\n"
                "       hyde_cli --batch [--circuits a,b,c] [-k n] "
                "[-s system|all] [--workers n] "
                "[--seed n] [--json file] [--csv file] [--deterministic-json] "
@@ -165,19 +164,6 @@ bool parse_long(const std::string& arg, long* out) {
   *out = value;
   return true;
 }
-
-/// Strict decimal parse for floating-point knobs; same contract as
-/// parse_long (the whole argument must be a number).
-bool parse_double(const std::string& arg, double* out) {
-  if (arg.empty()) return false;
-  char* end = nullptr;
-  errno = 0;
-  const double value = std::strtod(arg.c_str(), &end);
-  if (errno != 0 || end == nullptr || *end != '\0') return false;
-  *out = value;
-  return true;
-}
-
 
 /// Maps an --encoding argument to the flow policy; false on unknown names.
 bool parse_encoding(const std::string& arg, hyde::core::EncodingPolicy* out) {
@@ -238,8 +224,6 @@ struct FlowOverrides {
   int cache_max_support = -1;    ///< -1 = unset
   bool has_node_limit = false;
   std::size_t bdd_node_limit = 0;
-  bool has_tear_penalty = false;
-  double tear_penalty_scale = 1.0;
 
   void apply(hyde::core::FlowOptions* o) const {
     if (has_encoding) o->encoding = encoding;
@@ -254,7 +238,6 @@ struct FlowOverrides {
     if (passes > 0) o->passes = passes;
     if (cache_max_support >= 0) o->cache_max_support = cache_max_support;
     if (has_node_limit) o->bdd_node_limit = bdd_node_limit;
-    if (has_tear_penalty) o->tear_penalty_scale = tear_penalty_scale;
   }
 };
 
@@ -623,19 +606,6 @@ int main(int argc, char** argv) {
       }
       ov.bdd_node_limit = static_cast<std::size_t>(value);
       ov.has_node_limit = true;
-      if (shape_flag.empty()) shape_flag = arg;
-    } else if (arg == "--tear-penalty" && i + 1 < argc) {
-      double value = 0.0;
-      if (!parse_double(argv[++i], &value) || !(value >= 0.0) ||
-          !(value <= 1024.0)) {
-        std::fprintf(stderr,
-                     "error: --tear-penalty expects a number in [0, 1024], "
-                     "got '%s'\n",
-                     argv[i]);
-        return 2;
-      }
-      ov.tear_penalty_scale = value;
-      ov.has_tear_penalty = true;
       if (shape_flag.empty()) shape_flag = arg;
     } else if (arg == "--read-latches") {
       read_latches = true;

@@ -607,6 +607,10 @@ std::uint32_t Manager::build_cube(const std::vector<int>& vars) {
   std::vector<int> sorted = vars;
   std::sort(sorted.begin(), sorted.end());
   sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
+  if (!sorted.empty() && (sorted.front() < 0 || sorted.back() >= num_vars_)) {
+    throw std::invalid_argument(
+        "Manager::exists/forall: variable index out of range");
+  }
   std::uint32_t cube = kOne;
   for (auto it = sorted.rbegin(); it != sorted.rend(); ++it) {
     cube = make_node(*it, kZero, cube);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <map>
 #include <set>
 #include <stdexcept>
@@ -40,15 +39,6 @@ std::uint64_t cache_fingerprint(const FlowOptions& options) {
   mix(static_cast<std::uint64_t>(options.encoding));
   mix(static_cast<std::uint64_t>(options.dc_policy));
   mix(options.ppi_hard_mu ? 1 : 0);
-  // The tearing-penalty weight steers the encoder's Step-6 row pairing, so
-  // non-default values get their own cache universe; the guard keeps
-  // default-configuration fingerprints identical to historical ones.
-  if (options.tear_penalty_scale != 1.0) {
-    std::uint64_t tear_bits = 0;
-    static_assert(sizeof(tear_bits) == sizeof(options.tear_penalty_scale));
-    std::memcpy(&tear_bits, &options.tear_penalty_scale, sizeof(tear_bits));
-    mix(tear_bits);
-  }
   return h;
 }
 
@@ -193,7 +183,6 @@ class Decomposer {
       enc_options.seed = options_.seed + static_cast<std::uint64_t>(
                                              stats_.decomposition_steps);
       enc_options.dc_policy = options_.dc_policy;
-      enc_options.tear_penalty_scale = options_.tear_penalty_scale;
       enc_options.search = &search_;
       enc_options.class_stats = &class_stats_;
       EncodingChoice choice =
@@ -517,7 +506,6 @@ std::vector<net::NodeId> run_hyper_group_raw(
   enc_options.k = options.k;
   enc_options.seed = options.seed;
   enc_options.dc_policy = options.dc_policy;
-  enc_options.tear_penalty_scale = options.tear_penalty_scale;
   enc_options.search = &decomposer.search();
   enc_options.class_stats = decomposer.class_stats();
   const double search_before = decomposer.search().stats().seconds;

@@ -62,12 +62,6 @@ struct FlowOptions {
   int k = 5;  ///< LUT input count
   EncodingPolicy encoding = EncodingPolicy::kCompatibleClass;
   decomp::DcPolicy dc_policy = decomp::DcPolicy::kCliquePartition;
-  /// Weight of the encoder's same-column-set tearing penalty in the Step-6
-  /// row benefit (threaded into EncoderOptions::tear_penalty_scale; the
-  /// paper subtracts the matched Gc edge weight, i.e. factor 1).
-  /// Result-affecting — it steers which rows pair — so non-default values
-  /// enter the NPN-cache fingerprint.
-  double tear_penalty_scale = 1.0;
   bool use_hyper = true;   ///< group outputs into hyper-functions
   GroupChoice group_choice = GroupChoice::kAuto;
   bool ppi_hard_mu = false;  ///< FGSyn-like: PPIs never enter a bound set

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <stdexcept>
 #include <unordered_map>
 
@@ -19,9 +18,6 @@ std::uint64_t pattern_key(const bdd::Bdd& on, const bdd::Bdd& dc) {
 void check_spec(const DecompSpec& spec) {
   if (spec.mgr == nullptr) {
     throw std::invalid_argument("DecompSpec: null manager");
-  }
-  if (static_cast<int>(spec.bound.size()) > kMaxBoundVars) {
-    throw std::invalid_argument("DecompSpec: bound set too large to enumerate");
   }
 }
 
@@ -139,31 +135,6 @@ struct CutChart {
     return col_ind;
   }
 
-  /// Materializes per-column minterm lists by replaying the full 2^p
-  /// assignment walk over the pair graph (levels the graph skips branch both
-  /// ways). Reproduces the recursive enumeration's per-column minterm order.
-  void fill_minterms(std::vector<Column>* out) const {
-    std::function<void(std::int64_t, int, std::uint64_t)> walk =
-        [&](std::int64_t edge, int level, std::uint64_t m) {
-          if (level == cut_level) {
-            // Internal pairs all branch at levels < cut_level, so a fully
-            // assigned path always ends on a column edge.
-            (*out)[static_cast<std::size_t>(~edge)].minterms.push_back(m);
-            return;
-          }
-          if (edge >= 0 &&
-              internals[static_cast<std::size_t>(edge)].level == level) {
-            const PairNode& p = internals[static_cast<std::size_t>(edge)];
-            walk(p.lo, level + 1, m);
-            walk(p.hi, level + 1, m | (std::uint64_t{1} << level));
-          } else {
-            walk(edge, level + 1, m);
-            walk(edge, level + 1, m | (std::uint64_t{1} << level));
-          }
-        };
-    walk(root, 0, 0);
-  }
-
  private:
   std::unordered_map<std::uint64_t, std::size_t> pair_memo_;
   std::unordered_map<std::uint64_t, std::size_t> column_memo_;
@@ -216,7 +187,6 @@ std::vector<Column> enumerate_columns(const DecompSpec& spec) {
     column.indicator = bdd::transfer(cut_indicators[c], src, inverse);
     columns.push_back(std::move(column));
   }
-  if (spec.include_minterms) chart.fill_minterms(&columns);
   return columns;
 }
 
@@ -269,13 +239,6 @@ std::vector<ColumnSignature> column_signatures(
     sigs[i].care[words - 1] &= tail_mask;
   }
   return sigs;
-}
-
-int count_columns_via_cut(const DecompSpec& spec) {
-  if (spec.mgr == nullptr) {
-    throw std::invalid_argument("DecompSpec: null manager");
-  }
-  return static_cast<int>(CutChart(spec).columns.size());
 }
 
 int count_columns(const DecompSpec& spec) {

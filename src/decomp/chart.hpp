@@ -5,8 +5,8 @@
 /// bound (λ) set X and a free (μ) set Y, the *decomposition chart* has one
 /// column per assignment to X; a column's *pattern* is the residual function
 /// f(x, ·) of the free variables. This module enumerates the distinct
-/// patterns (as ISF pairs of BDDs) together with, per pattern, the set of
-/// bound-set minterms mapping to it and its indicator function over X.
+/// patterns (as ISF pairs of BDDs) together with, per pattern, its indicator
+/// function over X: the bound-set minterms mapping to it.
 ///
 /// Enumeration uses the BDD-cut method of Jiang et al. [2]: f is transferred
 /// into a manager ordering the bound set on top, and the distinct (on, dc)
@@ -41,21 +41,18 @@ struct DecompSpec {
   IsfBdd f;
   std::vector<int> bound;  ///< λ-set variable indices (chart columns)
   std::vector<int> free;   ///< μ-set variable indices (chart rows)
-  /// When false, enumerate_columns skips materializing per-column minterm
-  /// lists (the only part of chart construction that is inherently
-  /// Θ(2^|bound|)); patterns and indicators are still produced.
-  bool include_minterms = true;
 };
 
 /// One distinct chart column pattern.
 struct Column {
   IsfBdd pattern;   ///< residual function of the free variables
   bdd::Bdd indicator;  ///< function of the bound variables: 1 on this column's minterms
-  std::vector<std::uint64_t> minterms;  ///< bound minterms (bit i = bound[i])
 };
 
-/// Hard cap on the bound-set size: minterm lists index assignments to the
-/// bound set, so charts keep an exhaustively enumerable bound region.
+/// Hard cap on the bound-set size of the code that walks all 2^|bound|
+/// bound-set assignments: select_bound_set, the joint classes of
+/// joint_decompose and the recursive chart oracles. The cut-based chart
+/// functions below have no such cap.
 inline constexpr int kMaxBoundVars = 16;
 
 /// Packed row-space signature of a chart column. Bit m (bit m%64 of word
@@ -86,22 +83,15 @@ std::vector<ColumnSignature> column_signatures(
 
 /// Enumerates the distinct column patterns of the chart. Deterministic:
 /// columns are ordered by their smallest bound minterm.
-/// Throws std::invalid_argument if |bound| exceeds kMaxBoundVars.
+/// Throws std::invalid_argument if the spec has no manager.
 std::vector<Column> enumerate_columns(const DecompSpec& spec);
 
-/// Number of distinct column patterns, without materializing indicators.
-/// This is exactly the compatible-class count for completely specified
-/// functions and an upper bound for ISFs. Delegates to the cut-based path.
-/// Throws std::invalid_argument if |bound| exceeds kMaxBoundVars.
+/// Number of distinct column patterns, without materializing indicators:
+/// the BDD-cut method of Jiang et al. [2] counts the distinct (on, dc)
+/// sub-function pairs hanging below the cut in O(|BDD|). This is exactly the
+/// compatible-class count for completely specified functions and an upper
+/// bound for ISFs. Throws std::invalid_argument if the spec has no manager.
 int count_columns(const DecompSpec& spec);
-
-/// The BDD-cut method of Jiang et al. [2]: transfers f into a manager whose
-/// variable order puts the bound set on top and counts the distinct
-/// sub-functions hanging below the cut. Equal to count_columns for
-/// completely specified functions but costs O(|BDD|) instead of
-/// O(2^|bound|). ISFs count distinct (on, dc) pattern pairs. Unlike
-/// count_columns this places no limit on the bound-set size.
-int count_columns_via_cut(const DecompSpec& spec);
 
 /// Builds the BDD cube for an assignment to the given variables
 /// (bit i of \p minterm corresponds to vars[i]).

@@ -107,7 +107,7 @@ int BoundSetSearch::grow_step(const IsfBdd& f, const std::vector<int>& support,
       for (int v : free_base) {
         if (v != var) spec.free.push_back(v);
       }
-      cost = count_columns_via_cut(spec);
+      cost = count_columns(spec);
       ++stats_.candidates_evaluated;
       memo_->table.emplace(std::move(key), Memo::Entry{f.on, f.dc, cost});
     }

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <queue>
 #include <stdexcept>
 
 namespace hyde::graph {
@@ -367,147 +366,148 @@ BMatchResult max_weight_b_matching(int num_left, int num_right,
 
 namespace {
 
-class Blossom {
- public:
-  Blossom(int n, const std::vector<std::pair<int, int>>& edges)
-      : n_(n), adj_(static_cast<std::size_t>(n)) {
-    for (const auto& [u, v] : edges) {
-      if (u == v) continue;
-      adj_[static_cast<std::size_t>(u)].push_back(v);
-      adj_[static_cast<std::size_t>(v)].push_back(u);
-    }
-    const std::size_t size = static_cast<std::size_t>(n);
-    match_.assign(size, -1);
-    parent_.assign(size, -1);
-    base_.resize(size);
-    for (int i = 0; i < n; ++i) base_[static_cast<std::size_t>(i)] = i;
-    used_.assign(size, 0);
-    on_path_.assign(size, 0);
-    in_blossom_.assign(size, 0);
-  }
+inline std::size_t at(int v) { return static_cast<std::size_t>(v); }
 
-  std::vector<int> solve() {
-    for (int v = 0; v < n_; ++v) {
-      if (match_[static_cast<std::size_t>(v)] == -1) {
-        const int u = find_augmenting_path(v);
-        if (u != -1) augment(u);
-      }
-    }
-    return match_;
-  }
-
- private:
-  int lca(int a, int b) {
-    const std::uint64_t mark = ++epoch_;
-    while (true) {
-      a = base_[static_cast<std::size_t>(a)];
-      on_path_[static_cast<std::size_t>(a)] = mark;
-      if (match_[static_cast<std::size_t>(a)] == -1) break;
-      a = parent_[static_cast<std::size_t>(match_[static_cast<std::size_t>(a)])];
-    }
-    while (true) {
-      b = base_[static_cast<std::size_t>(b)];
-      if (on_path_[static_cast<std::size_t>(b)] == mark) return b;
-      b = parent_[static_cast<std::size_t>(match_[static_cast<std::size_t>(b)])];
+/// Offers the even vertices' edges in queue and adjacency-list order;
+/// returns the free vertex that ends an augmenting path, or -1.
+int find_path_end(AugmentingPathSearch& search,
+                  const std::vector<std::vector<int>>& adj) {
+  for (std::size_t next = 0; next < search.queue().size(); ++next) {
+    const int v = search.queue()[next];
+    for (const int to : adj[at(v)]) {
+      if (search.offer(v, to)) return to;
     }
   }
-
-  void mark_path(int v, int b, int child, std::uint64_t mark) {
-    while (base_[static_cast<std::size_t>(v)] != b) {
-      const int mv = match_[static_cast<std::size_t>(v)];
-      const int bv = base_[static_cast<std::size_t>(v)];
-      const int bmv = base_[static_cast<std::size_t>(mv)];
-      in_blossom_[static_cast<std::size_t>(bv)] = mark;
-      in_blossom_[static_cast<std::size_t>(bmv)] = mark;
-      parent_[static_cast<std::size_t>(v)] = child;
-      child = mv;
-      v = parent_[static_cast<std::size_t>(mv)];
-    }
-  }
-
-  int find_augmenting_path(int root) {
-    // Only the previous search's tree left state behind (augment reads its
-    // parent_ links, so the reset waits until the next search starts).
-    for (const int x : tree_) {
-      used_[static_cast<std::size_t>(x)] = 0;
-      parent_[static_cast<std::size_t>(x)] = -1;
-      base_[static_cast<std::size_t>(x)] = x;
-    }
-    tree_.clear();
-
-    used_[static_cast<std::size_t>(root)] = 1;
-    tree_.push_back(root);
-    std::queue<int> q;
-    q.push(root);
-    while (!q.empty()) {
-      const int v = q.front();
-      q.pop();
-      for (const int to : adj_[static_cast<std::size_t>(v)]) {
-        if (base_[static_cast<std::size_t>(v)] == base_[static_cast<std::size_t>(to)] ||
-            match_[static_cast<std::size_t>(v)] == to) {
-          continue;
-        }
-        if (to == root ||
-            (match_[static_cast<std::size_t>(to)] != -1 &&
-             parent_[static_cast<std::size_t>(match_[static_cast<std::size_t>(to)])] != -1)) {
-          // Found a blossom; contract it.
-          const int cur_base = lca(v, to);
-          const std::uint64_t mark = ++epoch_;
-          mark_path(v, cur_base, to, mark);
-          mark_path(to, cur_base, v, mark);
-          // Index order keeps the queue order, and so the mates, fixed.
-          // Every vertex whose base lies on the blossom is in the tree.
-          for (int i = 0; i < n_; ++i) {
-            const int bi = base_[static_cast<std::size_t>(i)];
-            if (in_blossom_[static_cast<std::size_t>(bi)] == mark) {
-              base_[static_cast<std::size_t>(i)] = cur_base;
-              if (!used_[static_cast<std::size_t>(i)]) {
-                used_[static_cast<std::size_t>(i)] = 1;
-                q.push(i);
-              }
-            }
-          }
-        } else if (parent_[static_cast<std::size_t>(to)] == -1) {
-          parent_[static_cast<std::size_t>(to)] = v;
-          tree_.push_back(to);
-          if (match_[static_cast<std::size_t>(to)] == -1) {
-            return to;  // augmenting path found
-          }
-          used_[static_cast<std::size_t>(match_[static_cast<std::size_t>(to)])] = 1;
-          tree_.push_back(match_[static_cast<std::size_t>(to)]);
-          q.push(match_[static_cast<std::size_t>(to)]);
-        }
-      }
-    }
-    return -1;
-  }
-
-  void augment(int v) {
-    while (v != -1) {
-      const int pv = parent_[static_cast<std::size_t>(v)];
-      const int ppv = match_[static_cast<std::size_t>(pv)];
-      match_[static_cast<std::size_t>(v)] = pv;
-      match_[static_cast<std::size_t>(pv)] = v;
-      v = ppv;
-    }
-  }
-
-  int n_;
-  std::vector<std::vector<int>> adj_;
-  std::vector<int> match_, parent_, base_;
-  /// Vertices the current search has put in its tree: the only ones whose
-  /// used_/parent_/base_ differ from the initial state.
-  std::vector<int> tree_;
-  std::vector<char> used_;
-  std::uint64_t epoch_ = 0;
-  std::vector<std::uint64_t> on_path_, in_blossom_;
-};
+  return -1;
+}
 
 }  // namespace
 
+AugmentingPathSearch::AugmentingPathSearch(int n)
+    : mate_(at(n), -1),
+      parent_(at(n), -1),
+      base_(at(n)),
+      even_(at(n), 0),
+      on_path_(at(n), 0),
+      in_blossom_(at(n), 0) {
+  for (int v = 0; v < n; ++v) base_[at(v)] = v;
+}
+
+void AugmentingPathSearch::start(int root) {
+  // Only the previous tree left labels behind (augment reads its parent
+  // links, so the reset waits until the next search starts).
+  for (const int x : tree_) {
+    even_[at(x)] = 0;
+    parent_[at(x)] = -1;
+    base_[at(x)] = x;
+  }
+  tree_.clear();
+  queue_.clear();
+  root_ = root;
+  label_even(root);
+}
+
+bool AugmentingPathSearch::offer(int v, int to) {
+  if (base_[at(v)] == base_[at(to)] || mate_[at(v)] == to) return false;
+  const int to_mate = mate_[at(to)];
+  if (to == root_ || (to_mate != -1 && parent_[at(to_mate)] != -1)) {
+    contract(v, to);  // to is even too: the edge closes a blossom
+    return false;
+  }
+  if (parent_[at(to)] != -1) return false;  // to is already odd
+  parent_[at(to)] = v;
+  tree_.push_back(to);
+  if (to_mate == -1) return true;
+  label_even(to_mate);
+  return false;
+}
+
+void AugmentingPathSearch::augment(int end) {
+  for (int v = end; v != -1;) {
+    const int pv = parent_[at(v)];
+    const int ppv = mate_[at(pv)];
+    mate_[at(v)] = pv;
+    mate_[at(pv)] = v;
+    v = ppv;
+  }
+}
+
+void AugmentingPathSearch::label_even(int v) {
+  even_[at(v)] = 1;
+  tree_.push_back(v);
+  queue_.push_back(v);
+}
+
+void AugmentingPathSearch::contract(int v, int to) {
+  const int b = lca(v, to);
+  const std::uint64_t mark = ++epoch_;
+  mark_path(v, b, to, mark);
+  mark_path(to, b, v, mark);
+  // Every vertex whose base lies on the blossom is in the tree. They are
+  // relabelled in index order, so the queue order, and with it the
+  // matching, does not depend on the order the tree was grown in.
+  blossom_.clear();
+  for (const int x : tree_) {
+    if (in_blossom_[at(base_[at(x)])] == mark) blossom_.push_back(x);
+  }
+  std::sort(blossom_.begin(), blossom_.end());
+  for (const int x : blossom_) {
+    base_[at(x)] = b;
+    if (even_[at(x)] == 0) {
+      even_[at(x)] = 1;
+      queue_.push_back(x);
+    }
+  }
+}
+
+int AugmentingPathSearch::lca(int a, int b) {
+  const std::uint64_t mark = ++epoch_;
+  while (true) {
+    a = base_[at(a)];
+    on_path_[at(a)] = mark;
+    if (mate_[at(a)] == -1) break;
+    a = parent_[at(mate_[at(a)])];
+  }
+  while (true) {
+    b = base_[at(b)];
+    if (on_path_[at(b)] == mark) return b;
+    b = parent_[at(mate_[at(b)])];
+  }
+}
+
+void AugmentingPathSearch::mark_path(int v, int b, int child,
+                                     std::uint64_t mark) {
+  while (base_[at(v)] != b) {
+    const int mv = mate_[at(v)];
+    in_blossom_[at(base_[at(v)])] = mark;
+    in_blossom_[at(base_[at(mv)])] = mark;
+    parent_[at(v)] = child;
+    child = mv;
+    v = parent_[at(mv)];
+  }
+}
+
+void augment_from_every_root(AugmentingPathSearch& search,
+                             const std::vector<std::vector<int>>& adj) {
+  for (int root = 0; root < static_cast<int>(adj.size()); ++root) {
+    if (search.mates()[at(root)] != -1) continue;
+    search.start(root);
+    const int end = find_path_end(search, adj);
+    if (end != -1) search.augment(end);
+  }
+}
+
 std::vector<int> max_cardinality_matching(
     int n, const std::vector<std::pair<int, int>>& edges) {
-  return Blossom(n, edges).solve();
+  std::vector<std::vector<int>> adj(at(n));
+  for (const auto& [u, v] : edges) {
+    if (u == v) continue;
+    adj[at(u)].push_back(v);
+    adj[at(v)].push_back(u);
+  }
+  AugmentingPathSearch search(n);
+  augment_from_every_root(search, adj);
+  return search.mates();
 }
 
 }  // namespace hyde::graph

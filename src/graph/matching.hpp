@@ -8,7 +8,8 @@
 ///  - maximum-weight bipartite b-matching [12] — used for column-set
 ///    combination (Step 5 of the encoding algorithm, Figure 5);
 ///  - maximum-cardinality matching on general graphs [12] (Edmonds' blossom
-///    algorithm) — used for row-set combination (Step 7).
+///    algorithm) — used for row-set combination (Step 7) and, through the
+///    same augmenting-path engine, for XC3000 CLB packing.
 
 #pragma once
 
@@ -59,8 +60,71 @@ BMatchResult max_weight_b_matching(int num_left, int num_right,
                                    const std::vector<int>& right_capacity,
                                    const std::vector<BMatchEdge>& edges);
 
+/// Edmonds' augmenting-path search with blossom contraction, the one engine
+/// behind both exact maximum-cardinality matchings in the tree:
+/// max_cardinality_matching below (row-set merging, Step 7) and the XC3000
+/// CLB packer (mapper/xc3000.cpp), which reads its graph's edges off width
+/// buckets instead of adjacency lists.
+///
+/// The engine owns the matching and one alternating tree; the caller owns
+/// the graph and the order in which edges are offered. A search starts a
+/// tree at a free root and offers edges (v, to) from even vertices, which it
+/// takes from queue() in any order: any order finds an augmenting path when
+/// one exists from the root. A contraction appends the blossom's newly even
+/// vertices to the queue in ascending index order, so a given edge order
+/// yields one fixed matching.
+class AugmentingPathSearch {
+ public:
+  /// An empty matching on vertices {0..n-1}.
+  explicit AugmentingPathSearch(int n);
+
+  /// Starts a tree at the free vertex \p root, which becomes the only even
+  /// vertex; the previous tree's labels are cleared.
+  void start(int root);
+  /// Offers the edge (v, to) from the even vertex \p v: grows the tree or
+  /// contracts a blossom. Returns true when \p to is free and so ends an
+  /// augmenting path, which augment(to) then flips.
+  bool offer(int v, int to);
+  /// Flips the augmenting path from the root to \p end, the free vertex an
+  /// offer just returned true for; the root and \p end become matched.
+  void augment(int end);
+
+  /// mates()[v] is v's partner or -1 if unmatched.
+  const std::vector<int>& mates() const { return mate_; }
+  /// The even vertices of the current tree in the order they were labelled.
+  /// Offers append to it, so callers walk it by index.
+  const std::vector<int>& queue() const { return queue_; }
+  /// Every vertex of the current tree. After a search that found no
+  /// augmenting path it is the Hungarian tree: no vertex on it lies on an
+  /// augmenting path from any later root (Edmonds).
+  const std::vector<int>& tree() const { return tree_; }
+
+ private:
+  void label_even(int v);
+  void contract(int v, int to);
+  int lca(int a, int b);
+  void mark_path(int v, int b, int child, std::uint64_t mark);
+
+  std::vector<int> mate_, parent_, base_;
+  std::vector<int> tree_, queue_, blossom_;
+  std::vector<char> even_;
+  int root_ = -1;
+  std::uint64_t epoch_ = 0;
+  std::vector<std::uint64_t> on_path_, in_blossom_;
+};
+
+/// Runs one search from every free vertex in index order over adjacency
+/// lists \p adj (adj[v] lists v's neighbours), offering the even vertices'
+/// edges in queue and list order, and augments each path found. If
+/// \p search holds a matching of \p adj's graph on entry (the empty one, for
+/// instance), it holds a maximum one afterwards: a vertex with no augmenting
+/// path never gains one through later augmentations (Edmonds).
+void augment_from_every_root(AugmentingPathSearch& search,
+                             const std::vector<std::vector<int>>& adj);
+
 /// Maximum-cardinality matching on a general undirected graph (Edmonds'
-/// blossom algorithm, O(V^3)).
+/// blossom algorithm, O(V^3)): augment_from_every_root over the edges'
+/// adjacency lists, from the empty matching.
 ///
 /// \param n number of vertices.
 /// \param edges undirected edges as (u, v) vertex pairs.

@@ -4,7 +4,6 @@
 #include <array>
 #include <cstdint>
 #include <stdexcept>
-#include <utility>
 
 #include "graph/matching.hpp"
 
@@ -37,7 +36,9 @@ struct Inputs {
 /// Vertices are the live logic nodes in topological order; only the ones of
 /// width ≤ 4 have edges. Sparse edges (widths summing to more than 5) are
 /// stored; dense edges (widths summing to at most 5) are implied by the
-/// width buckets minus each vertex's feed exclusions.
+/// width buckets minus each vertex's feed exclusions. The blossom search
+/// itself is graph::AugmentingPathSearch; this class chooses the roots and
+/// the order in which edges are offered to it.
 class ClbMatcher {
  public:
   explicit ClbMatcher(const net::Network& network);
@@ -62,15 +63,7 @@ class ClbMatcher {
   void take_free(int v);
 
   void enumerate_sparse_edges(std::size_t num_signals);
-  void match_sparse_edges();
-
   int find_augmenting_path(int root);
-  bool scan_edge(int root, int v, int to);
-  void label_even(int v);
-  void contract(int v, int to);
-  int lca(int a, int b);
-  void mark_path(int v, int b, int child, std::uint64_t mark);
-  void augment(int v);
 
   std::vector<net::NodeId> ids_;
   std::vector<Inputs> inputs_;
@@ -83,13 +76,10 @@ class ClbMatcher {
   /// a search's root leaves its list when the search starts.
   std::array<std::vector<int>, kHalfInputs + 1> free_;
   std::vector<int> slot_;
-  std::vector<int> mate_;
-
-  // Augmenting-path search state (Edmonds' blossom search).
-  std::vector<int> parent_, base_, tree_, queue_;
-  std::vector<char> even_, removed_;
-  std::uint64_t epoch_ = 0;
-  std::vector<std::uint64_t> excluded_, on_path_, in_blossom_;
+  std::vector<char> removed_;
+  std::uint64_t scan_ = 0;
+  std::vector<std::uint64_t> excluded_;
+  graph::AugmentingPathSearch search_{0};
 };
 
 ClbMatcher::ClbMatcher(const net::Network& network) {
@@ -123,19 +113,13 @@ ClbMatcher::ClbMatcher(const net::Network& network) {
   }
   enumerate_sparse_edges(local.size());
 
-  mate_.assign(n, -1);
-  parent_.assign(n, -1);
-  base_.resize(n);
-  for (int v = 0; v < num_nodes(); ++v) base_[at(v)] = v;
-  even_.assign(n, 0);
   removed_.assign(n, 0);
   excluded_.assign(n, 0);
-  on_path_.assign(n, 0);
-  in_blossom_.assign(n, 0);
+  search_ = graph::AugmentingPathSearch(num_nodes());
 }
 
 std::uint64_t ClbMatcher::stamp_exclusions(int v) {
-  const std::uint64_t scan = ++epoch_;
+  const std::uint64_t scan = ++scan_;
   excluded_[at(v)] = scan;
   for (const int f : feeds_[at(v)]) excluded_[at(f)] = scan;
   return scan;
@@ -179,29 +163,6 @@ void ClbMatcher::enumerate_sparse_edges(std::size_t num_signals) {
   }
 }
 
-// Starting matching: an exact blossom over the sparse edges alone, run on
-// the vertices that have one.
-void ClbMatcher::match_sparse_edges() {
-  std::vector<int> compact(inputs_.size(), -1);
-  std::vector<int> members;
-  for (int v = 0; v < num_nodes(); ++v) {
-    if (sparse_[at(v)].empty()) continue;
-    compact[at(v)] = static_cast<int>(members.size());
-    members.push_back(v);
-  }
-  std::vector<std::pair<int, int>> edges;
-  for (const int u : members) {
-    for (const int w : sparse_[at(u)]) {
-      if (u < w) edges.emplace_back(compact[at(u)], compact[at(w)]);
-    }
-  }
-  const std::vector<int> mate = graph::max_cardinality_matching(
-      static_cast<int>(members.size()), edges);
-  for (std::size_t i = 0; i < members.size(); ++i) {
-    if (mate[i] >= 0) mate_[at(members[i])] = members[at(mate[i])];
-  }
-}
-
 int ClbMatcher::free_dense_neighbour(int v) {
   const std::uint64_t scan = stamp_exclusions(v);
   for (int w = dense_limit(v); w >= 0; --w) {
@@ -221,11 +182,13 @@ void ClbMatcher::take_free(int v) {
 }
 
 int ClbMatcher::max_pairs() {
-  match_sparse_edges();
+  // Starting matching: exact over the sparse edges alone.
+  graph::augment_from_every_root(search_, sparse_);
+  const std::vector<int>& mate = search_.mates();
   slot_.assign(inputs_.size(), -1);
   for (const auto& bucket : by_width_) {
     for (const int v : bucket) {
-      if (mate_[at(v)] != -1) continue;
+      if (mate[at(v)] != -1) continue;
       auto& list = free_[at(width(v))];
       slot_[at(v)] = static_cast<int>(list.size());
       list.push_back(v);
@@ -236,145 +199,59 @@ int ClbMatcher::max_pairs() {
   // search, so the searches also do the work of a greedy pass. Every vertex
   // a failed search removes is matched, except that search's root.
   for (int root = 0; root < num_nodes(); ++root) {
-    if (!pairable(root) || mate_[at(root)] != -1) continue;
+    if (!pairable(root) || mate[at(root)] != -1) continue;
     take_free(root);
     const int end = find_augmenting_path(root);
     if (end >= 0) {
       take_free(end);
-      augment(end);
+      search_.augment(end);
     } else {
       // Edmonds: the vertices of a failed search's Hungarian tree lie on no
       // later augmenting path, so they leave the graph for good.
-      for (const int v : tree_) removed_[at(v)] = 1;
+      for (const int v : search_.tree()) removed_[at(v)] = 1;
       for (auto& bucket : by_width_) {
         bucket.erase(std::remove_if(bucket.begin(), bucket.end(),
                                     [&](int v) { return removed_[at(v)]; }),
                      bucket.end());
       }
     }
-    for (const int v : tree_) {
-      even_[at(v)] = 0;
-      parent_[at(v)] = -1;
-      base_[at(v)] = v;
-    }
   }
 
   int pairs = 0;
   for (int v = 0; v < num_nodes(); ++v) {
-    if (mate_[at(v)] > v) ++pairs;
+    if (mate[at(v)] > v) ++pairs;
   }
   return pairs;
 }
 
-// Alternating-tree search from a free root, as in the blossom search behind
-// graph::max_cardinality_matching, with a vertex's dense neighbours read off
-// the width buckets instead of an adjacency list. Edmonds' search may take
-// the edges of even vertices in any order, so the cheap ones go first: every
-// even vertex has its sparse edges and free dense neighbours looked at
-// before the next one has all its dense edges scanned. Returns the free
-// vertex that ends an augmenting path, or -1.
+// Edmonds' search may take the edges of even vertices in any order, so the
+// cheap ones go first: every even vertex has its sparse edges and free dense
+// neighbours offered before the next one has all its dense edges scanned.
+// Returns the free vertex that ends an augmenting path, or -1.
 int ClbMatcher::find_augmenting_path(int root) {
-  tree_.clear();
-  queue_.clear();
-  label_even(root);
+  search_.start(root);
+  const std::vector<int>& queue = search_.queue();
   std::size_t cheap = 0;
   std::size_t full = 0;
-  while (full < queue_.size()) {
-    if (cheap < queue_.size()) {
-      const int v = queue_[cheap++];
+  while (full < queue.size()) {
+    if (cheap < queue.size()) {
+      const int v = queue[cheap++];
       for (const int to : sparse_[at(v)]) {
-        if (!removed_[at(to)] && scan_edge(root, v, to)) return to;
+        if (!removed_[at(to)] && search_.offer(v, to)) return to;
       }
       const int to = free_dense_neighbour(v);
-      if (to >= 0) {
-        parent_[at(to)] = v;
-        tree_.push_back(to);
-        return to;
-      }
+      if (to >= 0 && search_.offer(v, to)) return to;
       continue;
     }
-    const int v = queue_[full++];
+    const int v = queue[full++];
     const std::uint64_t scan = stamp_exclusions(v);
     for (int w = 0; w <= dense_limit(v); ++w) {
       for (const int to : by_width_[at(w)]) {
-        if (excluded_[at(to)] != scan && scan_edge(root, v, to)) return to;
+        if (excluded_[at(to)] != scan && search_.offer(v, to)) return to;
       }
     }
   }
   return -1;
-}
-
-bool ClbMatcher::scan_edge(int root, int v, int to) {
-  if (base_[at(v)] == base_[at(to)] || mate_[at(v)] == to) return false;
-  const int to_mate = mate_[at(to)];
-  if (to == root || (to_mate != -1 && parent_[at(to_mate)] != -1)) {
-    contract(v, to);
-    return false;
-  }
-  if (parent_[at(to)] != -1) return false;
-  parent_[at(to)] = v;
-  tree_.push_back(to);
-  if (to_mate == -1) return true;
-  label_even(to_mate);
-  return false;
-}
-
-void ClbMatcher::label_even(int v) {
-  even_[at(v)] = 1;
-  tree_.push_back(v);
-  queue_.push_back(v);
-}
-
-void ClbMatcher::contract(int v, int to) {
-  const int b = lca(v, to);
-  const std::uint64_t mark = ++epoch_;
-  mark_path(v, b, to, mark);
-  mark_path(to, b, v, mark);
-  // Every vertex whose base lies on the blossom is in the tree.
-  for (const int x : tree_) {
-    if (in_blossom_[at(base_[at(x)])] != mark) continue;
-    base_[at(x)] = b;
-    if (!even_[at(x)]) {
-      even_[at(x)] = 1;
-      queue_.push_back(x);
-    }
-  }
-}
-
-int ClbMatcher::lca(int a, int b) {
-  const std::uint64_t mark = ++epoch_;
-  while (true) {
-    a = base_[at(a)];
-    on_path_[at(a)] = mark;
-    if (mate_[at(a)] == -1) break;
-    a = parent_[at(mate_[at(a)])];
-  }
-  while (true) {
-    b = base_[at(b)];
-    if (on_path_[at(b)] == mark) return b;
-    b = parent_[at(mate_[at(b)])];
-  }
-}
-
-void ClbMatcher::mark_path(int v, int b, int child, std::uint64_t mark) {
-  while (base_[at(v)] != b) {
-    const int mv = mate_[at(v)];
-    in_blossom_[at(base_[at(v)])] = mark;
-    in_blossom_[at(base_[at(mv)])] = mark;
-    parent_[at(v)] = child;
-    child = mv;
-    v = parent_[at(mv)];
-  }
-}
-
-void ClbMatcher::augment(int v) {
-  while (v != -1) {
-    const int pv = parent_[at(v)];
-    const int ppv = mate_[at(pv)];
-    mate_[at(v)] = pv;
-    mate_[at(pv)] = v;
-    v = ppv;
-  }
 }
 
 }  // namespace

@@ -16,19 +16,22 @@
 ///    edges are enumerated from a fanin → readers index over each node's
 ///    sorted fanin array (at most 5 entries).
 ///
-/// The starting matching is the blossom of graph/matching.hpp run on the
-/// sparse edges alone. Edmonds' augmenting-path search then runs from every
-/// free vertex over both kinds of edge, reading dense neighbours off the
-/// buckets. Cheap edges go first: every even vertex has its sparse edges and
-/// its free dense neighbours (widest first) examined before the next full
-/// bucket scan. A root with a free neighbour is thus matched at once, which
-/// does the work of a greedy pass, and a search that can succeed rarely
-/// scans many buckets. A search that fails leaves a Hungarian tree whose
-/// vertices lie on no later augmenting path (Edmonds), so they are dropped.
-/// When no free vertex has an augmenting path the matching is maximum
-/// (Berge), and every maximum matching has the same size, so the counts
-/// equal those of a blossom over the explicit all-pairs graph (kept as the
-/// test oracle `pack_xc3000_reference`, tests/oracle/pack_oracle.hpp).
+/// Both phases drive graph::AugmentingPathSearch (graph/matching.hpp), the
+/// Edmonds blossom search that also backs graph::max_cardinality_matching;
+/// the packer only chooses roots and the order in which edges are offered.
+/// The starting matching is augment_from_every_root over the sparse edges
+/// alone. A second search then runs from every free vertex over both kinds
+/// of edge, reading dense neighbours off the buckets. Cheap edges go first:
+/// every even vertex has its sparse edges and its free dense neighbours
+/// (widest first) offered before the next full bucket scan. A root with a
+/// free neighbour is thus matched at once, which does the work of a greedy
+/// pass, and a search that can succeed rarely scans many buckets. A search
+/// that fails leaves a Hungarian tree whose vertices lie on no later
+/// augmenting path (Edmonds), so they are dropped. When no free vertex has
+/// an augmenting path the matching is maximum (Berge), and every maximum
+/// matching has the same size, so the counts equal those of a blossom over
+/// the explicit all-pairs graph (kept as the test oracle
+/// `pack_xc3000_reference`, tests/oracle/pack_oracle.hpp).
 
 #pragma once
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <stdexcept>
 
 namespace hyde::bdd {
 namespace {
@@ -101,6 +102,22 @@ TEST(Bdd, QuantifiersMatchTruthTable) {
             t.exists(1).exists(3));
   EXPECT_EQ(mgr.to_truth_table(mgr.forall(f, {0, 5}), vars),
             t.forall(0).forall(5));
+}
+
+TEST(Bdd, QuantifiersRejectOutOfRangeVariables) {
+  // Like var/compose: a quantified variable the manager does not have is
+  // rejected before any node is made, so no node on it can reach the table.
+  Manager mgr(4);
+  const Bdd f = mgr.var(0) & mgr.var(1);
+  const std::size_t nodes = mgr.stats().live_nodes;
+  EXPECT_THROW(mgr.exists(f, {9}), std::invalid_argument);
+  EXPECT_THROW(mgr.forall(f, {1, 4}), std::invalid_argument);
+  EXPECT_THROW(mgr.exists(f, {-1, 0}), std::invalid_argument);
+  EXPECT_THROW(mgr.forall(f, {-3}), std::invalid_argument);
+  EXPECT_EQ(mgr.stats().live_nodes, nodes);
+  EXPECT_TRUE(mgr.audit_invariants().ok());
+  EXPECT_EQ(mgr.exists(f, {1, 3}), mgr.var(0));
+  EXPECT_EQ(mgr.forall(f, {}), f);
 }
 
 TEST(Bdd, ComposeSubstitutes) {

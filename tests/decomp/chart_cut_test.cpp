@@ -1,8 +1,8 @@
 /// \file chart_cut_test.cpp
 /// \brief Randomized cross-checks of the cut-based chart enumeration against
-/// the recursive-cofactor reference: identical columns, identical order,
-/// identical minterm grouping and indicators, on completely and incompletely
-/// specified functions.
+/// the recursive-cofactor reference: identical columns, identical order and
+/// identical indicators (so identical bound-minterm grouping), on completely
+/// and incompletely specified functions.
 
 #include <gtest/gtest.h>
 
@@ -38,7 +38,7 @@ DecompSpec make_spec(Manager& mgr, const Bdd& on, const Bdd& dc,
 }
 
 /// Columns must agree field-for-field: same order, same canonical pattern
-/// nodes, same indicators, same minterm lists element-for-element.
+/// nodes, same indicators.
 void expect_same_columns(const std::vector<Column>& cut,
                          const std::vector<Column>& ref) {
   ASSERT_EQ(cut.size(), ref.size());
@@ -46,7 +46,6 @@ void expect_same_columns(const std::vector<Column>& cut,
     EXPECT_EQ(cut[c].pattern.on, ref[c].pattern.on) << "column " << c;
     EXPECT_EQ(cut[c].pattern.dc, ref[c].pattern.dc) << "column " << c;
     EXPECT_EQ(cut[c].indicator, ref[c].indicator) << "column " << c;
-    EXPECT_EQ(cut[c].minterms, ref[c].minterms) << "column " << c;
   }
 }
 
@@ -117,22 +116,9 @@ TEST(ChartCut, IncompleteFreeListStillCoversSupport) {
                       enumerate_columns_recursive(spec));
 }
 
-TEST(ChartCut, SkipsMintermsOnRequest) {
-  Manager mgr(4);
-  const Bdd f = mgr.var(0) ^ mgr.var(1) ^ mgr.var(2) ^ mgr.var(3);
-  auto spec = make_spec(mgr, f, mgr.zero(), {0, 1}, {2, 3});
-  spec.include_minterms = false;
-  const auto columns = enumerate_columns(spec);
-  ASSERT_EQ(columns.size(), 2u);
-  for (const Column& c : columns) {
-    EXPECT_TRUE(c.minterms.empty());
-    EXPECT_FALSE(c.indicator.is_zero());  // indicators still materialized
-  }
-}
-
 TEST(ChartCutCount, CountMatchesRecursiveUpToMaxBoundVars) {
-  // Satellite property test: count_columns (cut-based) == the recursive
-  // reference on random ISFs, with bound sets up to kMaxBoundVars.
+  // count_columns (cut-based) == the recursive reference on random ISFs,
+  // with bound sets up to kMaxBoundVars.
   std::mt19937_64 rng(31337);
   for (int trial = 0; trial < 12; ++trial) {
     const int n = 4 + static_cast<int>(rng() % 7);  // 4..10 variables
@@ -147,10 +133,9 @@ TEST(ChartCutCount, CountMatchesRecursiveUpToMaxBoundVars) {
     }
     const auto spec = make_spec(mgr, raw_on, dc, bound, free);
     EXPECT_EQ(count_columns(spec), count_columns_recursive(spec));
-    EXPECT_EQ(count_columns_via_cut(spec), count_columns_recursive(spec));
   }
   // And the kMaxBoundVars edge itself: a parity over 16 bound variables has
-  // exactly two columns however it is counted.
+  // exactly two columns.
   Manager mgr(kMaxBoundVars + 1);
   Bdd parity = mgr.var(kMaxBoundVars);
   std::vector<int> bound;
@@ -161,7 +146,6 @@ TEST(ChartCutCount, CountMatchesRecursiveUpToMaxBoundVars) {
   const auto spec =
       make_spec(mgr, parity, mgr.zero(), bound, {kMaxBoundVars});
   EXPECT_EQ(count_columns(spec), 2);
-  EXPECT_EQ(count_columns_via_cut(spec), 2);
 }
 
 TEST(ChartCut, EmptyBoundSetYieldsOneColumn) {
@@ -172,7 +156,6 @@ TEST(ChartCut, EmptyBoundSetYieldsOneColumn) {
   expect_same_columns(cut, enumerate_columns_recursive(spec));
   ASSERT_EQ(cut.size(), 1u);
   EXPECT_TRUE(cut[0].indicator.is_one());
-  EXPECT_EQ(cut[0].minterms, (std::vector<std::uint64_t>{0}));
 }
 
 TEST(ChartCut, FullBoundSetMatchesRecursive) {

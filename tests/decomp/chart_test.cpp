@@ -33,8 +33,8 @@ TEST(Chart, XorHasTwoColumns) {
   EXPECT_EQ(columns.size(), 2u);
   EXPECT_EQ(count_columns(spec), 2);
   // Each column covers two of the four bound minterms.
-  EXPECT_EQ(columns[0].minterms.size(), 2u);
-  EXPECT_EQ(columns[1].minterms.size(), 2u);
+  EXPECT_EQ(mgr.sat_count(columns[0].indicator, 2), 2.0);
+  EXPECT_EQ(mgr.sat_count(columns[1].indicator, 2), 2.0);
   // Indicators partition the bound space.
   EXPECT_TRUE(mgr.disjoint(columns[0].indicator, columns[1].indicator));
   EXPECT_EQ(columns[0].indicator | columns[1].indicator, mgr.one());
@@ -48,11 +48,13 @@ TEST(Chart, AndHasTwoColumns) {
   const auto columns = enumerate_columns(spec);
   ASSERT_EQ(columns.size(), 2u);
   // The column for minterms 00,01,10 is constant zero; 11 gives x2.
-  const auto& zero_col = columns[0].minterms.size() == 3 ? columns[0] : columns[1];
-  const auto& var_col = columns[0].minterms.size() == 3 ? columns[1] : columns[0];
+  const Bdd x0x1 = mgr.var(0) & mgr.var(1);
+  const auto& zero_col = columns[0].indicator == x0x1 ? columns[1] : columns[0];
+  const auto& var_col = columns[0].indicator == x0x1 ? columns[0] : columns[1];
   EXPECT_TRUE(zero_col.pattern.on.is_zero());
+  EXPECT_EQ(zero_col.indicator, ~x0x1);
   EXPECT_EQ(var_col.pattern.on, mgr.var(2));
-  EXPECT_EQ(var_col.minterms, (std::vector<std::uint64_t>{3}));
+  EXPECT_EQ(var_col.indicator, x0x1);
 }
 
 TEST(Chart, FullBoundSetYieldsConstantPatterns) {
@@ -87,16 +89,23 @@ TEST(Chart, DontCaresSplitColumns) {
   EXPECT_EQ(columns.size(), 2u);
 }
 
-TEST(Chart, RejectsOversizedBoundSet) {
-  Manager mgr(20);
-  DecompSpec spec;
-  spec.mgr = &mgr;
-  spec.f = IsfBdd{mgr.zero(), mgr.zero()};
-  spec.bound.resize(kMaxBoundVars + 1, 0);
-  EXPECT_THROW(enumerate_columns(spec), std::invalid_argument);
-  EXPECT_THROW(count_columns(spec), std::invalid_argument);
+TEST(Chart, RejectsOnlyANullManager) {
+  // The cut-based chart has no bound-set cap: a parity over
+  // kMaxBoundVars + 1 bound variables still has its two columns.
+  Manager mgr(kMaxBoundVars + 2);
+  Bdd parity = mgr.var(kMaxBoundVars + 1);
+  std::vector<int> bound;
+  for (int v = 0; v <= kMaxBoundVars; ++v) {
+    parity = parity ^ mgr.var(v);
+    bound.push_back(v);
+  }
+  const auto spec =
+      make_spec(mgr, parity, mgr.zero(), bound, {kMaxBoundVars + 1});
+  EXPECT_EQ(count_columns(spec), 2);
+  EXPECT_EQ(enumerate_columns(spec).size(), 2u);
   DecompSpec null_spec;
   EXPECT_THROW(enumerate_columns(null_spec), std::invalid_argument);
+  EXPECT_THROW(count_columns(null_spec), std::invalid_argument);
 }
 
 TEST(Chart, MintermCubeBuildsCorrectCube) {
@@ -116,21 +125,19 @@ TEST(Chart, ColumnsPartitionBoundSpaceRandomly) {
     const Bdd f = mgr.from_truth_table(table);
     const auto spec = make_spec(mgr, f, mgr.zero(), {0, 1, 2}, {3, 4, 5});
     const auto columns = enumerate_columns(spec);
-    // Minterm lists are disjoint and cover all 8 bound assignments.
-    std::vector<int> hit(8, 0);
-    bdd::Bdd union_ind = mgr.zero();
-    for (const auto& c : columns) {
-      for (std::uint64_t m : c.minterms) ++hit[static_cast<std::size_t>(m)];
-      union_ind = union_ind | c.indicator;
-      // The pattern equals the cofactor at each member minterm.
-      for (std::uint64_t m : c.minterms) {
-        std::vector<std::pair<int, bool>> assignment;
-        for (int i = 0; i < 3; ++i) assignment.emplace_back(i, ((m >> i) & 1) != 0);
+    // Each of the 8 bound assignments lies in exactly one indicator, and
+    // that column's pattern is the cofactor there.
+    for (int m = 0; m < 8; ++m) {
+      std::vector<std::pair<int, bool>> assignment;
+      for (int i = 0; i < 3; ++i) assignment.emplace_back(i, ((m >> i) & 1) != 0);
+      int hits = 0;
+      for (const auto& c : columns) {
+        if (!mgr.cofactor_cube(c.indicator, assignment).is_one()) continue;
+        ++hits;
         EXPECT_EQ(mgr.cofactor_cube(f, assignment), c.pattern.on);
       }
+      EXPECT_EQ(hits, 1) << "bound minterm " << m;
     }
-    for (int m = 0; m < 8; ++m) EXPECT_EQ(hit[static_cast<std::size_t>(m)], 1);
-    EXPECT_TRUE(union_ind.is_one());
     EXPECT_EQ(count_columns(spec), static_cast<int>(columns.size()));
   }
 }

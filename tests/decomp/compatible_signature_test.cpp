@@ -46,10 +46,8 @@ DecompSpec random_isf_spec(Manager& mgr, std::mt19937_64& rng) {
 /// recount-from-scratch clique partitioner.
 ClassResult oracle_classes(const DecompSpec& spec) {
   Manager& mgr = *spec.mgr;
-  DecompSpec chart_spec = spec;
-  chart_spec.include_minterms = false;
   ClassResult result;
-  result.columns = enumerate_columns(chart_spec);
+  result.columns = enumerate_columns(spec);
   const std::size_t n = result.columns.size();
   std::vector<std::vector<char>> adjacent(n, std::vector<char>(n, 0));
   for (std::size_t i = 0; i < n; ++i) {

@@ -70,7 +70,7 @@ VarPartitionResult legacy_select(Manager& mgr, const IsfBdd& f,
         }
       }
       const int cost = recursive ? count_columns_recursive(spec)
-                                 : count_columns_via_cut(spec);
+                                 : count_columns(spec);
       if (best_var < 0 || cost < best_cost ||
           (cost == best_cost && v < best_var)) {
         best_var = v;

@@ -11,8 +11,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <random>
+#include <utility>
+#include <vector>
 
 #include "oracle/clique_oracle.hpp"
 
@@ -160,6 +163,61 @@ TEST(BlossomProperty, MaximumOnSeededGraphsUpToEight) {
     }
     EXPECT_EQ(matched / 2, best) << "trial " << trial << " n=" << n;
   }
+}
+
+/// FNV-1a over a mate vector, folded into \p hash.
+std::uint64_t fold_mates(std::uint64_t hash, const std::vector<int>& mate) {
+  for (const int m : mate) {
+    hash ^= static_cast<std::uint64_t>(static_cast<std::uint32_t>(m));
+    hash *= 1099511628211ULL;
+  }
+  return hash;
+}
+
+TEST(BlossomProperty, ExactMatesPinned) {
+  // The encoder's Step 7 merges row sets by these mates, so a change to the
+  // search's queue order or blossom handling changes written networks even
+  // when the matching stays maximum. The values were recorded from the
+  // index-order contraction scan of the original search.
+  //
+  // Twelve vertices whose searches contract six blossoms, two of them
+  // around an already contracted one; 1 and 11 stay free.
+  const std::vector<std::pair<int, int>> nested{
+      {0, 2}, {0, 3}, {2, 3}, {2, 4}, {2, 6}, {2, 10}, {2, 11}, {3, 4},
+      {3, 6}, {3, 8}, {4, 5}, {4, 7}, {5, 6}, {5, 7}, {6, 9}, {8, 9}};
+  EXPECT_EQ(max_cardinality_matching(12, nested),
+            (std::vector<int>{3, -1, 10, 0, 7, 6, 5, 4, 9, 8, 2, -1}));
+
+  // Seeded random graphs from sparse to dense, up to 40 vertices: 1565
+  // contractions, 38 of them around an already contracted blossom.
+  std::mt19937_64 rng(0x5eed'b10550ULL);
+  std::uint64_t hash = 1469598103934665603ULL;
+  int matched = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    const int n = 3 + static_cast<int>(rng() % 38);
+    const int denominator = 2 + static_cast<int>(rng() % 9);
+    std::vector<std::pair<int, int>> edges;
+    for (int i = 0; i < n; ++i) {
+      for (int j = i + 1; j < n; ++j) {
+        if (rng() % static_cast<std::uint64_t>(denominator) == 0) {
+          // Random endpoint order so adjacency lists are not sorted.
+          if ((rng() & 1U) != 0U) {
+            edges.emplace_back(i, j);
+          } else {
+            edges.emplace_back(j, i);
+          }
+        }
+      }
+    }
+    for (std::size_t i = edges.size(); i > 1; --i) {
+      std::swap(edges[i - 1], edges[rng() % i]);
+    }
+    const auto mate = max_cardinality_matching(n, edges);
+    for (const int m : mate) matched += m >= 0 ? 1 : 0;
+    hash = fold_mates(hash, mate);
+  }
+  EXPECT_EQ(matched, 5858);
+  EXPECT_EQ(hash, 0x6bc6051bda108b71ULL);
 }
 
 }  // namespace

@@ -29,6 +29,7 @@ std::vector<Column> enumerate_columns_recursive(const DecompSpec& spec) {
   check_spec(spec);
   bdd::Manager& mgr = *spec.mgr;
   std::vector<Column> columns;
+  std::vector<std::vector<std::uint64_t>> minterms;  // per column
   std::unordered_map<std::uint64_t, std::size_t> index_of;
 
   // Walk all 2^|bound| assignments by successive cofactoring; patterns that
@@ -40,9 +41,10 @@ std::vector<Column> enumerate_columns_recursive(const DecompSpec& spec) {
           const std::uint64_t key = pattern_key(on, dc);
           auto [it, inserted] = index_of.emplace(key, columns.size());
           if (inserted) {
-            columns.push_back(Column{IsfBdd{on, dc}, mgr.zero(), {}});
+            columns.push_back(Column{IsfBdd{on, dc}, mgr.zero()});
+            minterms.emplace_back();
           }
-          columns[it->second].minterms.push_back(minterm);
+          minterms[it->second].push_back(minterm);
           return;
         }
         const int var = spec.bound[depth];
@@ -53,12 +55,12 @@ std::vector<Column> enumerate_columns_recursive(const DecompSpec& spec) {
       };
   rec(0, spec.f.on, spec.f.dc, 0);
 
-  for (Column& column : columns) {
+  for (std::size_t c = 0; c < columns.size(); ++c) {
     bdd::Bdd indicator = mgr.zero();
-    for (std::uint64_t m : column.minterms) {
+    for (std::uint64_t m : minterms[c]) {
       indicator = indicator | minterm_cube(mgr, spec.bound, m);
     }
-    column.indicator = std::move(indicator);
+    columns[c].indicator = std::move(indicator);
   }
   return columns;
 }
