@@ -243,12 +243,11 @@ struct FlowOverrides {
 
 void print_profile(const hyde::core::FlowStats& stats, const char* indent) {
   std::printf(
-      "%svarpart %.3fs (selects %llu, evaluated %llu, memo hits %llu) | "
+      "%svarpart %.3fs (selects %llu, evaluated %llu) | "
       "classes %.3fs | encoding %.3fs | mapping %.3fs\n",
       indent, stats.varpart_seconds,
       static_cast<unsigned long long>(stats.search_selects),
       static_cast<unsigned long long>(stats.search_candidates_evaluated),
-      static_cast<unsigned long long>(stats.search_memo_hits),
       stats.classes_seconds, stats.encoding_seconds, stats.mapping_seconds);
 }
 
@@ -340,14 +339,10 @@ int run_batch_mode(const std::string& system_name, int k, int workers,
     if (profile) print_profile(job.stats, "             ");
   }
   if (profile) {
-    std::printf("\nsearch engine: %llu selects, %llu candidates evaluated, "
-                "%llu memo hits, %llu memo clears\n",
+    std::printf("\nbound-set search: %llu selects, %llu candidates evaluated\n",
                 static_cast<unsigned long long>(report.totals.search_selects),
                 static_cast<unsigned long long>(
-                    report.totals.search_candidates_evaluated),
-                static_cast<unsigned long long>(report.totals.search_memo_hits),
-                static_cast<unsigned long long>(
-                    report.totals.search_memo_clears));
+                    report.totals.search_candidates_evaluated));
   }
   std::printf("\n%zu jobs in %.2fs wall on %d workers\n", report.jobs.size(),
               report.wall_seconds, report.workers);

@@ -6,7 +6,6 @@
 #include <set>
 #include <stdexcept>
 
-#include "decomp/search.hpp"
 #include "graph/matching.hpp"
 
 namespace hyde::core {
@@ -523,10 +522,8 @@ EncodingChoice encode_functions(bdd::Manager& mgr,
   vp_options.bound_size = std::min(options.k, static_cast<int>(support.size()) - 1);
   vp_options.require_nontrivial = false;
   vp_options.dc_policy = options.dc_policy;
-  const auto vp = options.search != nullptr
-                      ? options.search->select(g_trial, support, vp_options)
-                      : decomp::select_bound_set(mgr, g_trial, support,
-                                                 vp_options);
+  const auto vp = decomp::select_bound_set(mgr, g_trial, support, vp_options,
+                                           options.search);
   if (!vp.success) {
     choice.trace.trivially_feasible = true;  // nothing sensible to do
     return choice;

@@ -24,8 +24,7 @@
 /// ingredients are the "class functions" and pseudo primary inputs the
 /// "α variables".
 ///
-/// Every step runs serially in the caller's manager, on the caller's thread;
-/// Step 3 reuses the flow's bound-set search engine when one is supplied.
+/// Every step runs serially in the caller's manager, on the caller's thread.
 
 #pragma once
 
@@ -37,22 +36,15 @@
 #include "decomp/step.hpp"
 #include "decomp/varpart.hpp"
 
-namespace hyde::decomp {
-class BoundSetSearch;
-}  // namespace hyde::decomp
-
 namespace hyde::core {
 
 struct EncoderOptions {
   int k = 5;                ///< LUT input count (κ-feasibility bound)
   std::uint64_t seed = 1;   ///< seed for the Step-1 random encoding
   decomp::DcPolicy dc_policy = decomp::DcPolicy::kCliquePartition;
-  /// Optional bound-set search engine for Step 3 (must be bound to the same
-  /// manager the encoder runs in). Null falls back to the one-shot
-  /// select_bound_set; either way the selected λ' is identical — the engine
-  /// only adds memo reuse across the flow's repeated searches.
-  // hyde-knob-ok: engine handle bound by the flow, not a setting.
-  decomp::BoundSetSearch* search = nullptr;
+  /// Optional counter sink for the Step-3 bound-set search.
+  // hyde-knob-ok: counter sink; totals surface via FlowStats, not a flag.
+  decomp::SearchStats* search = nullptr;
   /// Optional counter sink for the Step-8 image-class computations.
   // hyde-knob-ok: counter sink; totals surface via FlowStats, not a flag.
   decomp::ClassStats* class_stats = nullptr;

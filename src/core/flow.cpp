@@ -58,14 +58,12 @@ class Decomposer {
         cache_ceiling_(cache_ceiling >= 0
                            ? cache_ceiling
                            : std::min(options.cache_max_support,
-                                      tt::kMaxExactNpnVars)),
-        search_(gm) {}
+                                      tt::kMaxExactNpnVars)) {}
 
-  /// The flow-lifetime bound-set search engine: its memo spans every
-  /// decomposition step and encoder trial over gm_. The engine's counters
-  /// are folded into FlowStats at the end of the flow (and its self-timed
+  /// This decomposer's bound-set search counter sink, shared with the
+  /// encoder; folded into FlowStats at the end of the flow (its self-timed
   /// seconds become the varpart phase).
-  decomp::BoundSetSearch& search() { return search_; }
+  decomp::SearchStats* search_stats() { return &search_stats_; }
 
   /// This decomposer's class-computation counter sink.
   decomp::ClassStats* class_stats() { return &class_stats_; }
@@ -101,24 +99,14 @@ class Decomposer {
     }
 
     // Bound-set selection: honour a caller hint (the encoder's λ'), else
-    // search sizes k down to 2; hard-μ mode keeps PPIs out of the candidates.
+    // grow once and try the sorted growth prefixes from size k down to 2;
+    // hard-μ mode keeps PPIs out of the candidates.
     decomp::VarPartitionResult vp;
     preferred = filter_to(preferred, support);
     if (static_cast<int>(preferred.size()) >= 2 &&
         static_cast<int>(preferred.size()) <= options_.k &&
         preferred.size() < support.size()) {
-      decomp::DecompSpec spec = make_spec(f, support, preferred);
-      const auto classes_start = std::chrono::steady_clock::now();
-      const int classes =
-          decomp::count_compatible_classes(spec, options_.dc_policy,
-                                           &class_stats_);
-      stats_.classes_seconds += seconds_since(classes_start);
-      if (bits_for(classes) < static_cast<int>(preferred.size())) {
-        vp.success = true;
-        vp.bound = preferred;
-        vp.free = spec.free;
-        vp.num_classes = classes;
-      }
+      vp = try_bound(f, support, preferred);
     }
     if (!vp.success) {
       std::vector<int> candidates = support;
@@ -129,23 +117,17 @@ class Decomposer {
         }
         if (static_cast<int>(filtered.size()) > 2) candidates = filtered;
       }
-      for (int size = std::min(options_.k,
-                               static_cast<int>(candidates.size()) - 1);
-           size >= 2 && !vp.success; --size) {
-        decomp::VarPartitionOptions vp_options;
-        vp_options.bound_size = size;
-        vp_options.dc_policy = options_.dc_policy;
-        vp_options.require_nontrivial = true;
-        if (!options_.ppi_hard_mu) vp_options.avoid = ppi_vars_;
-        vp = search_.select(f, candidates, vp_options);
-        if (vp.success && candidates.size() != support.size()) {
-          // Re-derive the free set over the full support.
-          vp.free.clear();
-          for (int v : support) {
-            if (std::find(vp.bound.begin(), vp.bound.end(), v) == vp.bound.end()) {
-              vp.free.push_back(v);
-            }
-          }
+      const int size =
+          std::min(options_.k, static_cast<int>(candidates.size()) - 1);
+      if (size >= 2) {
+        const std::vector<int> picks = decomp::grow_bound_set(
+            gm_, f, candidates, size,
+            options_.ppi_hard_mu ? std::vector<int>{} : ppi_vars_,
+            &search_stats_);
+        for (int s = size; s >= 2 && !vp.success; --s) {
+          std::vector<int> bound(picks.begin(), picks.begin() + s);
+          std::sort(bound.begin(), bound.end());
+          vp = try_bound(f, support, bound);
         }
       }
     }
@@ -173,8 +155,8 @@ class Decomposer {
     decomp::Encoding encoding;
     std::vector<int> lambda_hint;
     // Encoder wall time is booked net of the nested bound-set searches the
-    // encoder triggers (those are varpart time, self-timed by the engine).
-    const double search_before = search_.stats().seconds;
+    // encoder triggers (those are varpart time, self-timed by the search).
+    const double search_before = search_stats_.seconds;
     const auto encode_start = std::chrono::steady_clock::now();
     if (options_.encoding == EncodingPolicy::kCompatibleClass) {
       ++stats_.encoder_runs;
@@ -183,7 +165,7 @@ class Decomposer {
       enc_options.seed = options_.seed + static_cast<std::uint64_t>(
                                              stats_.decomposition_steps);
       enc_options.dc_policy = options_.dc_policy;
-      enc_options.search = &search_;
+      enc_options.search = &search_stats_;
       enc_options.class_stats = &class_stats_;
       EncodingChoice choice =
           encode_classes(gm_, classes, vp.free, alpha_vars, enc_options);
@@ -200,7 +182,7 @@ class Decomposer {
           options_.seed + static_cast<std::uint64_t>(stats_.decomposition_steps));
     }
     stats_.encoding_seconds += seconds_since(encode_start) -
-                               (search_.stats().seconds - search_before);
+                               (search_stats_.seconds - search_before);
 
     const auto step = decomp::build_step(gm_, classes, vp.bound, vp.free,
                                          encoding, alpha_vars);
@@ -291,7 +273,7 @@ class Decomposer {
     // counters and phase timings follow the same policy — they are volatile,
     // so the deterministic cached entry.stats never carries them.
     stats_.absorb_bdd_stats(tm.stats());
-    sub_stats.absorb_search_stats(sub.search().stats());
+    sub_stats.absorb_search_stats(*sub.search_stats());
     sub_stats.absorb_class_stats(*sub.class_stats());
     stats_.absorb_search_and_phases(sub_stats);
     return entry;
@@ -353,8 +335,12 @@ class Decomposer {
     return result;
   }
 
-  decomp::DecompSpec make_spec(const IsfBdd& f, const std::vector<int>& support,
-                               const std::vector<int>& bound) {
+  /// Tests one bound set: success when its compatible classes need fewer
+  /// code bits than it has variables (a non-trivial decomposition). The free
+  /// set is the rest of \p support; class counts do not depend on its order.
+  decomp::VarPartitionResult try_bound(const IsfBdd& f,
+                                       const std::vector<int>& support,
+                                       const std::vector<int>& bound) {
     decomp::DecompSpec spec;
     spec.mgr = &gm_;
     spec.f = f;
@@ -364,7 +350,15 @@ class Decomposer {
         spec.free.push_back(v);
       }
     }
-    return spec;
+    const auto classes_start = std::chrono::steady_clock::now();
+    decomp::VarPartitionResult vp;
+    vp.num_classes = decomp::count_compatible_classes(spec, options_.dc_policy,
+                                                      &class_stats_);
+    stats_.classes_seconds += seconds_since(classes_start);
+    vp.success = vp.code_bits() < static_cast<int>(bound.size());
+    vp.bound = bound;
+    vp.free = std::move(spec.free);
+    return vp;
   }
 
   std::vector<int> isf_support(const IsfBdd& f) {
@@ -450,7 +444,7 @@ class Decomposer {
   std::vector<int> ppi_vars_;
   int next_var_ = 0;
   int cache_ceiling_ = 0;
-  decomp::BoundSetSearch search_;
+  decomp::SearchStats search_stats_;
   decomp::ClassStats class_stats_;
 };
 
@@ -506,16 +500,16 @@ std::vector<net::NodeId> run_hyper_group_raw(
   enc_options.k = options.k;
   enc_options.seed = options.seed;
   enc_options.dc_policy = options.dc_policy;
-  enc_options.search = &decomposer.search();
+  enc_options.search = decomposer.search_stats();
   enc_options.class_stats = decomposer.class_stats();
-  const double search_before = decomposer.search().stats().seconds;
+  const double search_before = decomposer.search_stats()->seconds;
   const auto encode_start = std::chrono::steady_clock::now();
   const HyperFunction hyper = build_hyper_function(
       gm, ingredients, input_vars, ppi_vars, enc_options,
       options.encoding == EncodingPolicy::kCompatibleClass);
   stats.encoding_seconds +=
       seconds_since(encode_start) -
-      (decomposer.search().stats().seconds - search_before);
+      (decomposer.search_stats()->seconds - search_before);
   ++stats.hyper_groups;
   if (options.encoding == EncodingPolicy::kCompatibleClass) {
     ++stats.encoder_runs;
@@ -790,7 +784,7 @@ FlowResult run_flow_once(const net::Network& input, const FlowOptions& options,
   out.sweep();
   out.drop_unused_inputs(ppi_nodes);
   stats.absorb_bdd_stats(gm.stats());
-  stats.absorb_search_stats(decomposer.search().stats());
+  stats.absorb_search_stats(*decomposer.search_stats());
   stats.absorb_class_stats(*decomposer.class_stats());
   return result;
 }

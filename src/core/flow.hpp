@@ -38,7 +38,7 @@
 #include "core/decomp_cache.hpp"
 #include "core/encoder.hpp"
 #include "decomp/compatible.hpp"
-#include "decomp/search.hpp"
+#include "decomp/varpart.hpp"
 #include "core/hyper.hpp"
 #include "net/network.hpp"
 
@@ -119,17 +119,17 @@ struct FlowStats {
   std::uint64_t bdd_gc_runs = 0;
   std::uint64_t bdd_peak_live_nodes = 0;  ///< max over managers, not a sum
 
-  // Bound-set search engine counters (decomp/search.hpp). Volatile like the
-  // bdd_* block: memo contents depend on the flow's search history (and NPN
-  // template misses on cache timing), so these only appear in volatile
-  // report sections.
+  // Bound-set search counters (decomp/varpart.hpp). Volatile like the bdd_*
+  // block: NPN-template misses, and so the searches they run, depend on
+  // cache timing, so these only appear in volatile report sections.
   std::uint64_t search_selects = 0;
   std::uint64_t search_candidates_evaluated = 0;
-  /// Always 0: the engine no longer prunes candidates. Kept only because the
+  /// Always 0: the search no longer prunes candidates. Kept only because the
   /// end-to-end benchmark (perfbench/) reads it for its prune-ratio metric.
   std::uint64_t search_candidates_pruned = 0;
+  /// Always 0: the search no longer memoizes chart counts. Kept only because
+  /// the end-to-end benchmark (perfbench/) reads it for its memo-hit metric.
   std::uint64_t search_memo_hits = 0;
-  std::uint64_t search_memo_clears = 0;
 
   // Class-computation counters (decomp/compatible.hpp). Volatile like the
   // search block: they record which compatibility path decided each column
@@ -166,10 +166,11 @@ struct FlowStats {
   int window_max_index = -1;        ///< extraction index of that window
 
   // Per-phase wall-clock breakdown (volatile; seconds). varpart is the
-  // bound-set search engine's self-timed total, classes covers
-  // compatible-class computation, encoding is encoder wall time net of the
-  // nested bound-set searches it triggers, mapping is filled in by the
-  // baseline mapper after the flow proper (cleanup through CLB packing).
+  // bound-set search's self-timed total, classes covers compatible-class
+  // computation (the class counts that test each trial bound set included),
+  // encoding is encoder wall time net of the nested bound-set searches it
+  // triggers, mapping is filled in by the baseline mapper after the flow
+  // proper (cleanup through CLB packing).
   double varpart_seconds = 0.0;
   double classes_seconds = 0.0;
   double encoding_seconds = 0.0;
@@ -195,13 +196,11 @@ struct FlowStats {
     encoder_random_kept += t.encoder_random_kept;
   }
 
-  /// Folds one search engine's counters into the flow totals; the engine's
+  /// Folds one flow's search counters into the flow totals; the search's
   /// self-timed wall clock is the varpart phase.
   void absorb_search_stats(const decomp::SearchStats& s) {
     search_selects += s.selects;
     search_candidates_evaluated += s.candidates_evaluated;
-    search_memo_hits += s.memo_hits;
-    search_memo_clears += s.memo_clears;
     varpart_seconds += s.seconds;
   }
 
@@ -217,8 +216,6 @@ struct FlowStats {
   void absorb_search_and_phases(const FlowStats& s) {
     search_selects += s.search_selects;
     search_candidates_evaluated += s.search_candidates_evaluated;
-    search_memo_hits += s.search_memo_hits;
-    search_memo_clears += s.search_memo_clears;
     class_signature_pairs += s.class_signature_pairs;
     class_bdd_pairs += s.class_bdd_pairs;
     store_disk_hits += s.store_disk_hits;
@@ -246,6 +243,7 @@ struct FlowStats {
     bdd_gc_runs += s.bdd_gc_runs;
     bdd_peak_live_nodes = std::max(bdd_peak_live_nodes, s.bdd_peak_live_nodes);
     search_candidates_pruned += s.search_candidates_pruned;
+    search_memo_hits += s.search_memo_hits;
     windows_extracted += s.windows_extracted;
     windows_resynthesized += s.windows_resynthesized;
     windows_passthrough += s.windows_passthrough;

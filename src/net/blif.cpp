@@ -1,10 +1,10 @@
 #include "net/blif.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <istream>
 #include <map>
 #include <ostream>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <unordered_map>
@@ -78,6 +78,7 @@ struct NamesBlock {
   char phase = '1';
   bool phase_set = false;
   int line_no = 0;  ///< the .names line, for errors found while building
+  bool on_stack = false;  ///< being built (a cycle if reached again)
 };
 
 /// Parsed dot-structure of one BLIF section (main model or .exdc body).
@@ -96,6 +97,7 @@ ParsedSection parse_section(const std::vector<LogicalLine>& lines,
                             const BlifReadOptions& options) {
   ParsedSection section;
   NamesBlock* current = nullptr;
+  std::set<std::string> declared_inputs;
 
   for (const LogicalLine& line : lines) {
     const std::vector<std::string>& tokens = line.tokens;
@@ -105,8 +107,12 @@ ParsedSection parse_section(const std::vector<LogicalLine>& lines,
       if (tokens.size() >= 2) section.model_name = tokens[1];
       current = nullptr;
     } else if (head == ".inputs") {
-      section.input_names.insert(section.input_names.end(),
-                                 tokens.begin() + 1, tokens.end());
+      for (auto it = tokens.begin() + 1; it != tokens.end(); ++it) {
+        if (!declared_inputs.insert(*it).second) {
+          fail(line_no, *it, "input declared twice");
+        }
+        section.input_names.push_back(*it);
+      }
       current = nullptr;
     } else if (head == ".outputs") {
       if (section.outputs_line == 0) section.outputs_line = line_no;
@@ -205,50 +211,87 @@ void absorb_latches(ParsedSection* section) {
   }
 }
 
+/// Builds the logic node of one .names block from its fanins.
+NodeId add_block(Network& network, const NamesBlock& block,
+                 std::vector<NodeId> fanins) {
+  bdd::Manager& mgr = network.manager();
+  mgr.ensure_vars(static_cast<int>(block.inputs.size()));
+  bdd::Bdd sum = mgr.zero();
+  for (const auto& cube : block.cubes) {
+    bdd::Bdd product = mgr.one();
+    for (std::size_t i = 0; i < cube.size(); ++i) {
+      if (cube[i] == '1') {
+        product = product & mgr.var(static_cast<int>(i));
+      } else if (cube[i] == '0') {
+        product = product & mgr.nvar(static_cast<int>(i));
+      } else if (cube[i] != '-') {
+        fail(block.line_no, cube,
+             "bad cube character in cover of " + block.output);
+      }
+    }
+    sum = sum | product;
+  }
+  if (block.phase == '0') sum = ~sum;
+  return network.add_logic(block.output, std::move(fanins), std::move(sum));
+}
+
 /// Builds a network from a parsed section. When \p missing_outputs_as_zero
 /// is set (the .exdc case) undefined output signals become constant 0.
-Network build_section(const ParsedSection& section,
-                      bool missing_outputs_as_zero) {
+Network build_section(ParsedSection& section, bool missing_outputs_as_zero) {
   Network network(section.model_name);
-  for (const auto& name : section.input_names) network.add_input(name);
-
-  // Create logic nodes on demand, following dependencies. referenced_at is
-  // the line to blame when a signal has no definition.
-  std::function<NodeId(const std::string&, int)> build =
-      [&](const std::string& name, int referenced_at) -> NodeId {
-    if (NodeId existing = network.find(name); existing != kNoNode) {
-      return existing;
+  for (const auto& name : section.input_names) {
+    if (auto it = section.blocks.find(name); it != section.blocks.end()) {
+      fail(it->second.line_no, name, "primary input also defined by .names");
     }
+    network.add_input(name);
+  }
+
+  // Creates logic nodes on demand, following dependencies depth-first with
+  // an explicit stack (netlists can be far deeper than the call stack), in
+  // fanin order, so nodes are added in the post-order of that walk.
+  // referenced_at is the line to blame when a signal has no definition.
+  struct Frame {
+    NamesBlock* block;
+    std::vector<NodeId> fanins;  ///< built so far, in input order
+  };
+  std::vector<Frame> stack;
+  const auto push = [&](const std::string& name, int referenced_at) {
     auto it = section.blocks.find(name);
     if (it == section.blocks.end()) {
       fail(referenced_at == 0 ? section.outputs_line : referenced_at, name,
            "undefined signal");
     }
-    const NamesBlock& block = it->second;
-    std::vector<NodeId> fanins;
-    fanins.reserve(block.inputs.size());
-    for (const auto& in_name : block.inputs) {
-      fanins.push_back(build(in_name, block.line_no));
+    NamesBlock& block = it->second;
+    if (block.on_stack) {
+      fail(referenced_at, name, "combinational cycle through signal");
     }
-
-    bdd::Manager& mgr = network.manager();
-    mgr.ensure_vars(static_cast<int>(block.inputs.size()));
-    bdd::Bdd sum = mgr.zero();
-    for (const auto& cube : block.cubes) {
-      bdd::Bdd product = mgr.one();
-      for (std::size_t i = 0; i < cube.size(); ++i) {
-        if (cube[i] == '1') {
-          product = product & mgr.var(static_cast<int>(i));
-        } else if (cube[i] == '0') {
-          product = product & mgr.nvar(static_cast<int>(i));
-        } else if (cube[i] != '-') {
-          fail(block.line_no, cube, "bad cube character in cover of " + name);
+    block.on_stack = true;
+    stack.push_back(Frame{&block, {}});
+    stack.back().fanins.reserve(block.inputs.size());
+  };
+  const auto build = [&](const std::string& name) -> NodeId {
+    if (NodeId existing = network.find(name); existing != kNoNode) {
+      return existing;
+    }
+    push(name, 0);
+    while (true) {
+      Frame& top = stack.back();
+      NamesBlock& block = *top.block;
+      if (top.fanins.size() < block.inputs.size()) {
+        const std::string& in_name = block.inputs[top.fanins.size()];
+        if (NodeId existing = network.find(in_name); existing != kNoNode) {
+          top.fanins.push_back(existing);
+        } else {
+          push(in_name, block.line_no);
         }
+        continue;
       }
-      sum = sum | product;
+      const NodeId id = add_block(network, block, std::move(top.fanins));
+      block.on_stack = false;
+      stack.pop_back();
+      if (stack.empty()) return id;
+      stack.back().fanins.push_back(id);
     }
-    if (block.phase == '0') sum = ~sum;
-    return network.add_logic(name, std::move(fanins), std::move(sum));
   };
 
   for (const auto& name : section.output_names) {
@@ -257,7 +300,7 @@ Network build_section(const ParsedSection& section,
                   name) == section.input_names.end()) {
       network.add_output(name, network.add_constant(name, false));
     } else {
-      network.add_output(name, build(name, 0));
+      network.add_output(name, build(name));
     }
   }
   return network;

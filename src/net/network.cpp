@@ -1,9 +1,9 @@
 #include "net/network.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 namespace hyde::net {
 
@@ -82,19 +82,38 @@ std::vector<NodeId> Network::topo_order() const {
   std::vector<NodeId> order;
   order.reserve(nodes_.size());
   std::vector<char> state(nodes_.size(), 0);  // 0 unseen, 1 open, 2 done
-  std::function<void(NodeId)> visit = [&](NodeId id) {
-    if (state[static_cast<std::size_t>(id)] == 2) return;
+  // Depth-first post-order from each live node in id order, fanins in order;
+  // an explicit stack of (node, next fanin) keeps deep netlists off the
+  // call stack.
+  std::vector<std::pair<NodeId, std::size_t>> stack;
+  const auto open = [&](NodeId id) {
     if (state[static_cast<std::size_t>(id)] == 1) {
       throw std::logic_error("Network: combinational cycle at " +
                              nodes_[static_cast<std::size_t>(id)].name);
     }
     state[static_cast<std::size_t>(id)] = 1;
-    for (NodeId f : nodes_[static_cast<std::size_t>(id)].fanins) visit(f);
-    state[static_cast<std::size_t>(id)] = 2;
-    order.push_back(id);
+    stack.emplace_back(id, 0);
   };
-  for (NodeId id = 0; id < num_nodes(); ++id) {
-    if (!nodes_[static_cast<std::size_t>(id)].dead) visit(id);
+  for (NodeId root = 0; root < num_nodes(); ++root) {
+    if (nodes_[static_cast<std::size_t>(root)].dead ||
+        state[static_cast<std::size_t>(root)] == 2) {
+      continue;
+    }
+    open(root);
+    while (!stack.empty()) {
+      const auto [id, next] = stack.back();
+      const std::vector<NodeId>& fanins =
+          nodes_[static_cast<std::size_t>(id)].fanins;
+      if (next < fanins.size()) {
+        ++stack.back().second;
+        const NodeId f = fanins[next];
+        if (state[static_cast<std::size_t>(f)] != 2) open(f);
+      } else {
+        state[static_cast<std::size_t>(id)] = 2;
+        order.push_back(id);
+        stack.pop_back();
+      }
+    }
   }
   return order;
 }

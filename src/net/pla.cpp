@@ -3,6 +3,7 @@
 #include <functional>
 #include <istream>
 #include <ostream>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
@@ -10,6 +11,24 @@
 namespace hyde::net {
 
 namespace {
+
+/// Largest .i or .o count the reader accepts. Every output node is first
+/// built over all the inputs (inputs × outputs fanins in each of the two
+/// networks) and only then swept down to its support, so the count sizes the
+/// reader's memory before any cube is read. The MCNC/espresso PLAs have at
+/// most a few hundred inputs or outputs; a larger count is taken for a
+/// corrupt header rather than spending gigabytes on it.
+constexpr int kMaxPlaSignals = 1024;
+
+/// Reads a .i/.o count; a missing or unparsable one (including an
+/// overflowing literal) is an error.
+int read_count(std::istream& is, const std::string& directive) {
+  int count = 0;
+  if (!(is >> count)) {
+    throw std::runtime_error("PLA: unparsable " + directive + " count");
+  }
+  return count;
+}
 
 struct PlaHeader {
   int num_inputs = -1;
@@ -36,9 +55,9 @@ PlaModel read_pla(std::istream& in, const std::string& model_name) {
     std::string token;
     if (!(is >> token)) continue;
     if (token == ".i") {
-      is >> header.num_inputs;
+      header.num_inputs = read_count(is, token);
     } else if (token == ".o") {
-      is >> header.num_outputs;
+      header.num_outputs = read_count(is, token);
     } else if (token == ".p") {
       int declared = 0;
       is >> declared;
@@ -70,6 +89,11 @@ PlaModel read_pla(std::istream& in, const std::string& model_name) {
   if (header.num_inputs <= 0 || header.num_outputs <= 0) {
     throw std::runtime_error("PLA: missing .i/.o header");
   }
+  if (header.num_inputs > kMaxPlaSignals ||
+      header.num_outputs > kMaxPlaSignals) {
+    throw std::runtime_error("PLA: .i/.o count above " +
+                             std::to_string(kMaxPlaSignals));
+  }
   if (!header.input_names.empty() &&
       static_cast<int>(header.input_names.size()) != header.num_inputs) {
     throw std::runtime_error("PLA: .ilb arity mismatch");
@@ -79,12 +103,28 @@ PlaModel read_pla(std::istream& in, const std::string& model_name) {
     throw std::runtime_error("PLA: .ob arity mismatch");
   }
 
+  // Unnamed signals are x<i> and y<o>; every name must be unique, since one
+  // network holds both the inputs and the output nodes.
+  if (header.input_names.empty()) {
+    for (int i = 0; i < header.num_inputs; ++i) {
+      header.input_names.push_back("x" + std::to_string(i));
+    }
+  }
+  if (header.output_names.empty()) {
+    for (int o = 0; o < header.num_outputs; ++o) {
+      header.output_names.push_back("y" + std::to_string(o));
+    }
+  }
+  std::set<std::string> names(header.input_names.begin(),
+                              header.input_names.end());
+  names.insert(header.output_names.begin(), header.output_names.end());
+  if (names.size() != header.input_names.size() + header.output_names.size()) {
+    throw std::runtime_error("PLA: duplicate signal name in .ilb/.ob");
+  }
+
   PlaModel model{Network(model_name), Network(model_name + "_dc"), false};
   std::vector<NodeId> on_pis, dc_pis;
-  for (int i = 0; i < header.num_inputs; ++i) {
-    const std::string name = header.input_names.empty()
-                                 ? "x" + std::to_string(i)
-                                 : header.input_names[static_cast<std::size_t>(i)];
+  for (const std::string& name : header.input_names) {
     on_pis.push_back(model.onset.add_input(name));
     dc_pis.push_back(model.dont_care.add_input(name));
   }
@@ -137,9 +177,7 @@ PlaModel read_pla(std::istream& in, const std::string& model_name) {
   }
 
   for (int o = 0; o < header.num_outputs; ++o) {
-    const std::string name = header.output_names.empty()
-                                 ? "y" + std::to_string(o)
-                                 : header.output_names[static_cast<std::size_t>(o)];
+    const std::string& name = header.output_names[static_cast<std::size_t>(o)];
     model.onset.add_output(
         name, model.onset.add_logic(name, on_pis, on_fn[static_cast<std::size_t>(o)]));
     model.dont_care.add_output(

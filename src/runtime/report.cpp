@@ -57,8 +57,6 @@ void append_volatile_stats(std::string& out, const core::FlowStats& s,
   out += "\"selects\": " + std::to_string(s.search_selects);
   out += ", \"candidates_evaluated\": " +
          std::to_string(s.search_candidates_evaluated);
-  out += ", \"memo_hits\": " + std::to_string(s.search_memo_hits);
-  out += ", \"memo_clears\": " + std::to_string(s.search_memo_clears);
   out += "}";
   out += sep;
   out += "\"classes\": {";
@@ -197,7 +195,7 @@ std::string to_csv(const RunReport& report) {
       "encoder_random_kept,collapse_mode,cache_lookups,seconds,"
       "bdd_cache_hits,bdd_cache_misses,bdd_gc_runs,"
       "bdd_peak_live_nodes,"
-      "search_selects,search_evaluated,search_memo_hits,"
+      "search_selects,search_evaluated,"
       "varpart_seconds,classes_seconds,encoding_seconds,mapping_seconds,"
       "class_signature_pairs,class_bdd_pairs,"
       "store_disk_hits,store_disk_misses\n";
@@ -221,7 +219,6 @@ std::string to_csv(const RunReport& report) {
            std::to_string(job.stats.bdd_peak_live_nodes) + "," +
            std::to_string(job.stats.search_selects) + "," +
            std::to_string(job.stats.search_candidates_evaluated) + "," +
-           std::to_string(job.stats.search_memo_hits) + "," +
            format_double(job.stats.varpart_seconds) + "," +
            format_double(job.stats.classes_seconds) + "," +
            format_double(job.stats.encoding_seconds) + "," +

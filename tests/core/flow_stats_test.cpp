@@ -33,7 +33,6 @@ FlowStats filled(int base, bool collapse) {
   s.search_candidates_evaluated = u(16);
   s.search_candidates_pruned = u(17);
   s.search_memo_hits = u(18);
-  s.search_memo_clears = u(19);
   s.class_signature_pairs = u(20);
   s.class_bdd_pairs = u(21);
   s.windows_extracted = base + 22;
@@ -84,7 +83,6 @@ TEST(FlowStatsMerge, SumsCountsAndSecondsAndTakesTheMaxOfPeaks) {
   EXPECT_EQ(into.search_candidates_evaluated, 116u + 26u);
   EXPECT_EQ(into.search_candidates_pruned, 117u + 27u);
   EXPECT_EQ(into.search_memo_hits, 118u + 28u);
-  EXPECT_EQ(into.search_memo_clears, 119u + 29u);
   EXPECT_EQ(into.class_signature_pairs, 120u + 30u);
   EXPECT_EQ(into.class_bdd_pairs, 121u + 31u);
   EXPECT_EQ(into.windows_extracted, 122 + 32);

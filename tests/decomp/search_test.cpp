@@ -1,18 +1,20 @@
 /// \file search_test.cpp
-/// \brief Bound-set search engine correctness: bit-identical selection
+/// \brief Bound-set search correctness: select_bound_set and grow_bound_set
 /// against a verbatim copy of the historical greedy loop — counting columns
-/// with the cut method or with the recursive oracle — whatever the chart
-/// memo holds.
+/// with the cut method or with the recursive oracle — and the prefix closure
+/// the flow's k → 2 retry relies on.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <random>
+#include <stdexcept>
 #include <vector>
 
 #include "core/encoder.hpp"
-#include "decomp/search.hpp"
 #include "decomp/step.hpp"
+#include "decomp/varpart.hpp"
 #include "oracle/chart_oracle.hpp"
 #include "tt/truth_table.hpp"
 
@@ -29,10 +31,10 @@ Bdd random_bdd(Manager& mgr, int num_vars, std::mt19937_64& rng) {
   return mgr.from_truth_table(table);
 }
 
-/// Verbatim re-implementation of the historical select_bound_set greedy loop
-/// (pre-engine): evaluates every candidate from scratch with an exact count,
-/// by the cut method or, with \p recursive, by the recursive-cofactor oracle.
-/// The engine must reproduce this bit for bit.
+/// Verbatim re-implementation of the historical select_bound_set greedy loop:
+/// evaluates every candidate from scratch with an exact count, by the cut
+/// method or, with \p recursive, by the recursive-cofactor oracle. The
+/// search must reproduce this bit for bit.
 VarPartitionResult legacy_select(Manager& mgr, const IsfBdd& f,
                                  const std::vector<int>& support,
                                  const VarPartitionOptions& options,
@@ -109,33 +111,43 @@ void expect_same_result(const VarPartitionResult& a,
   EXPECT_EQ(a.num_classes, b.num_classes) << what;
 }
 
+/// A random ISF over 6..8 variables with a support of at least 4.
+struct RandomIsf {
+  IsfBdd f;
+  std::vector<int> support;
+};
+
+RandomIsf random_isf(Manager& mgr, int n, std::mt19937_64& rng) {
+  const Bdd on = random_bdd(mgr, n, rng);
+  const Bdd dc = random_bdd(mgr, n, rng) & ~on;
+  return {IsfBdd{on, dc}, mgr.support(on | dc)};
+}
+
 TEST(BoundSetSearchTest, AllConfigurationsMatchTheLegacyGreedy) {
   std::mt19937_64 rng(63);
   for (int trial = 0; trial < 20; ++trial) {
     const int n = 6 + static_cast<int>(rng() % 3);  // 6..8 variables
     Manager mgr(n);
-    const Bdd on = random_bdd(mgr, n, rng);
-    const Bdd dc = random_bdd(mgr, n, rng) & ~on;
-    const IsfBdd f{on, dc};
-    const std::vector<int> support = mgr.support(on | dc);
-    if (static_cast<int>(support.size()) < 4) continue;
+    const RandomIsf isf = random_isf(mgr, n, rng);
+    if (static_cast<int>(isf.support.size()) < 4) continue;
 
     VarPartitionOptions options;
     options.bound_size = 3 + static_cast<int>(rng() % 2);
     options.require_nontrivial = (rng() & 1) != 0;
-    if ((rng() & 1) != 0) options.avoid = {support[0], support[1]};
+    if ((rng() & 1) != 0) options.avoid = {isf.support[0], isf.support[1]};
 
     const VarPartitionResult reference =
-        legacy_select(mgr, f, support, options);
+        legacy_select(mgr, isf.f, isf.support, options);
 
-    // A fresh engine (empty memo) and a repeat select served from the memo
-    // must both agree with the legacy loop.
-    BoundSetSearch engine(mgr);
-    expect_same_result(engine.select(f, support, options), reference,
-                       "single select");
-    expect_same_result(engine.select(f, support, options), reference,
-                       "repeat select");
-    EXPECT_GT(engine.stats().memo_hits, 0u);
+    // Calls keep no state: a repeat with the same sink agrees too, and the
+    // sink counts both growths.
+    SearchStats stats;
+    expect_same_result(select_bound_set(mgr, isf.f, isf.support, options, &stats),
+                       reference, "single select");
+    expect_same_result(select_bound_set(mgr, isf.f, isf.support, options, &stats),
+                       reference, "repeat select");
+    EXPECT_EQ(stats.selects, 2u);
+    EXPECT_GT(stats.candidates_evaluated, 0u);
   }
 }
 
@@ -148,64 +160,41 @@ TEST(BoundSetSearchTest, RecursiveReferencePathMatchesLegacy) {
   VarPartitionOptions options;
   options.bound_size = 3;
   // The legacy loop counts every candidate with the 2^|bound| oracle.
-  BoundSetSearch engine(mgr);
-  expect_same_result(engine.select(f, support, options),
+  expect_same_result(select_bound_set(mgr, f, support, options),
                      legacy_select(mgr, f, support, options, /*recursive=*/true),
                      "recursive ref");
 }
 
-TEST(BoundSetSearchTest, ShrinkingBoundSizeReplaysThePrefixFromTheMemo) {
-  // The flow re-searches from size k down to 2 when a partition is trivial;
-  // the greedy prefix of a smaller size is a subsequence of the larger one,
-  // so the second select must be served largely from the memo.
+TEST(BoundSetSearchTest, GrowthIsPrefixClosed) {
+  // The flow grows once to size k and tries the sorted prefixes from k down
+  // to 2; each must be exactly the bound set a search at that size selects.
   std::mt19937_64 rng(65);
-  Manager mgr(8);
-  const Bdd on = random_bdd(mgr, 8, rng);
-  const IsfBdd f{on, mgr.zero()};
-  const std::vector<int> support = mgr.support(on);
-  ASSERT_GE(support.size(), 5u);
+  int checked = 0;
+  for (int trial = 0; trial < 16; ++trial) {
+    const int n = 6 + static_cast<int>(rng() % 3);  // 6..8 variables
+    Manager mgr(n);
+    const RandomIsf isf = random_isf(mgr, n, rng);
+    if (static_cast<int>(isf.support.size()) < 5) continue;
+    const int k = std::min(5, static_cast<int>(isf.support.size()) - 1);
 
-  BoundSetSearch engine(mgr);
-  VarPartitionOptions options;
-  options.bound_size = 4;
-  options.require_nontrivial = false;
-  const auto at4 = engine.select(f, support, options);
-  const std::uint64_t hits_before = engine.stats().memo_hits;
-  options.bound_size = 3;
-  const auto at3 = engine.select(f, support, options);
-  EXPECT_GT(engine.stats().memo_hits, hits_before);
-  // The greedy prefix is shared: the size-3 bound set is a subset of size-4.
-  for (int v : at3.bound) {
-    EXPECT_NE(std::find(at4.bound.begin(), at4.bound.end(), v),
-              at4.bound.end());
-  }
-}
-
-TEST(BoundSetSearchTest, MemoClearsWhenOverCapacityAndStaysCorrect) {
-  // Fresh random functions keep adding memo entries until a greedy step
-  // would take the memo past kMemoCapacity, which forces a wholesale clear.
-  std::mt19937_64 rng(66);
-  Manager mgr(7);
-  BoundSetSearch engine(mgr);
-  VarPartitionOptions options;
-  options.bound_size = 3;
-  int checked_after_clear = 0;
-  for (int trial = 0; trial < 4000 && checked_after_clear < 3; ++trial) {
-    const Bdd on = random_bdd(mgr, 7, rng);
-    const IsfBdd f{on, mgr.zero()};
-    const std::vector<int> support = mgr.support(on);
-    if (static_cast<int>(support.size()) < 4) continue;
-    const bool cleared = engine.stats().memo_clears > 0;
-    const VarPartitionResult got = engine.select(f, support, options);
-    EXPECT_LE(engine.memo_size(), BoundSetSearch::kMemoCapacity);
-    if (cleared || trial % 64 == 0) {
-      expect_same_result(got, legacy_select(mgr, f, support, options),
-                         "memo at capacity");
-      if (cleared) ++checked_after_clear;
+    std::vector<int> avoid;
+    if (trial % 2 == 1) avoid = {isf.support[1], isf.support[3]};
+    const std::vector<int> picks =
+        grow_bound_set(mgr, isf.f, isf.support, k, avoid);
+    ASSERT_EQ(static_cast<int>(picks.size()), k);
+    for (int s = 1; s <= k; ++s) {
+      VarPartitionOptions options;
+      options.bound_size = s;
+      options.avoid = avoid;
+      options.require_nontrivial = false;
+      std::vector<int> prefix(picks.begin(), picks.begin() + s);
+      std::sort(prefix.begin(), prefix.end());
+      EXPECT_EQ(prefix, legacy_select(mgr, isf.f, isf.support, options).bound)
+          << "trial " << trial << " size " << s;
+      ++checked;
     }
   }
-  EXPECT_GT(engine.stats().memo_clears, 0u);
-  EXPECT_EQ(checked_after_clear, 3);
+  EXPECT_GE(checked, 20);
 }
 
 TEST(BoundSetSearchTest, OversizeBoundThrowsLikeLegacy) {
@@ -215,14 +204,18 @@ TEST(BoundSetSearchTest, OversizeBoundThrowsLikeLegacy) {
   for (int v = 0; v < kMaxBoundVars + 2; ++v) support[v] = v;
   VarPartitionOptions options;
   options.bound_size = kMaxBoundVars + 1;
-  BoundSetSearch engine(mgr);
-  EXPECT_THROW(engine.select(f, support, options), std::invalid_argument);
+  EXPECT_THROW(select_bound_set(mgr, f, support, options),
+               std::invalid_argument);
+  EXPECT_THROW(grow_bound_set(mgr, f, support, kMaxBoundVars + 1, {}),
+               std::invalid_argument);
 }
 
 TEST(BoundSetSearchTest, EncoderHookMatchesHookFreeEncoding) {
-  // encode_classes with EncoderOptions::search must produce the identical
-  // EncodingChoice (encoding, lambda hint, trace geometry) as without it.
+  // encode_classes with an EncoderOptions::search sink must produce the
+  // identical EncodingChoice (encoding, lambda hint, trace geometry) as
+  // without it.
   std::mt19937_64 rng(67);
+  int searched = 0;
   for (int trial = 0; trial < 6; ++trial) {
     const int n = 7;
     Manager mgr(n + 4);
@@ -249,23 +242,26 @@ TEST(BoundSetSearchTest, EncoderHookMatchesHookFreeEncoding) {
     const auto plain =
         core::encode_classes(mgr, classes, spec.free, alpha_vars, base);
 
-    BoundSetSearch engine(mgr);
+    SearchStats stats;
     core::EncoderOptions hooked = base;
-    hooked.search = &engine;
-    const auto via_engine =
+    hooked.search = &stats;
+    const auto with_sink =
         core::encode_classes(mgr, classes, spec.free, alpha_vars, hooked);
 
-    EXPECT_EQ(plain.encoding.codes, via_engine.encoding.codes);
-    EXPECT_EQ(plain.lambda_hint, via_engine.lambda_hint);
-    EXPECT_EQ(plain.trace.used_random, via_engine.trace.used_random);
-    EXPECT_EQ(plain.trace.num_rows, via_engine.trace.num_rows);
-    EXPECT_EQ(plain.trace.num_cols, via_engine.trace.num_cols);
+    EXPECT_EQ(plain.encoding.codes, with_sink.encoding.codes);
+    EXPECT_EQ(plain.lambda_hint, with_sink.lambda_hint);
+    EXPECT_EQ(plain.trace.used_random, with_sink.trace.used_random);
+    EXPECT_EQ(plain.trace.num_rows, with_sink.trace.num_rows);
+    EXPECT_EQ(plain.trace.num_cols, with_sink.trace.num_cols);
+    // Step 3 searched exactly when the trace records a λ'.
+    EXPECT_EQ(stats.selects, plain.trace.lambda_prime.empty() ? 0u : 1u);
+    if (stats.selects != 0) ++searched;
   }
+  EXPECT_GT(searched, 0);
 }
 
 TEST(BoundSetSearchTest, WrapperSelectBoundSetStillMatchesLegacy) {
-  // The free function is a thin wrapper over a one-shot engine; pin its
-  // behaviour to the reference too.
+  // Without a counter sink the search behaves the same.
   std::mt19937_64 rng(68);
   for (int trial = 0; trial < 10; ++trial) {
     const int n = 6;

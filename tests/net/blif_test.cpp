@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <string>
 
 namespace hyde::net {
 namespace {
@@ -88,6 +89,12 @@ TEST(BlifReader, RejectsUndefinedSignal) {
 TEST(BlifReader, RejectsDoubleDefinition) {
   EXPECT_THROW(read_blif_string(".model t\n.inputs a\n.outputs f\n"
                                 ".names a f\n1 1\n.names a f\n0 1\n.end\n"),
+               std::runtime_error);
+  EXPECT_THROW(read_blif_string(".model t\n.inputs a b\n.inputs a\n"
+                                ".outputs f\n.names a f\n1 1\n.end\n"),
+               std::runtime_error);
+  EXPECT_THROW(read_blif_string(".model t\n.inputs a b\n.outputs a\n"
+                                ".names b a\n0 1\n.end\n"),
                std::runtime_error);
 }
 
@@ -240,6 +247,46 @@ TEST(BlifReader, LatchOutputClashesAreRejected) {
                                options);
       },
       4, "s");
+}
+
+TEST(BlifReader, RejectsCombinationalCycle) {
+  // y reads b and b reads y: the cycle is named with the line that closes it.
+  expect_error_at(
+      [] {
+        read_blif_string(
+            ".model t\n.inputs x\n.outputs y\n"
+            ".names x b y\n11 1\n.names y b\n1 1\n.end\n");
+      },
+      6, "y");
+  expect_error_at(
+      [] {
+        read_blif_string(".model t\n.inputs x\n.outputs a\n"
+                         ".names x a a\n11 1\n.end\n");
+      },
+      4, "a");
+}
+
+TEST(BlifReader, ReadsTopoOrdersAndSweepsAHundredThousandDeepChain) {
+  constexpr int kDepth = 100000;
+  std::string text = ".model deep\n.inputs x\n.outputs y\n";
+  std::string prev = "x";
+  for (int i = 0; i < kDepth; ++i) {
+    const std::string next = i + 1 == kDepth ? "y" : "n" + std::to_string(i);
+    text += ".names " + prev + " " + next + "\n1 1\n";
+    prev = next;
+  }
+  text += ".end\n";
+  Network net = read_blif_string(text);
+  EXPECT_EQ(net.num_logic_nodes(), kDepth);
+  const std::vector<NodeId> order = net.topo_order();
+  ASSERT_EQ(order.size(), static_cast<std::size_t>(kDepth) + 1);
+  for (std::size_t i = 1; i < order.size(); ++i) {
+    EXPECT_EQ(net.node(order[i]).fanins, std::vector<NodeId>{order[i - 1]});
+  }
+  EXPECT_TRUE(net.eval({true})[0]);
+  EXPECT_EQ(net.sweep(), kDepth);
+  EXPECT_EQ(net.num_logic_nodes(), 0);
+  EXPECT_FALSE(net.eval({false})[0]);
 }
 
 TEST(BlifRoundTrip, FullAdderSurvives) {

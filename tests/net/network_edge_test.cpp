@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <random>
 
 #include "mcnc/benchmarks.hpp"
@@ -130,6 +131,71 @@ TEST(NetworkEdge, DeepChainTopoOrder) {
   EXPECT_FALSE(net.eval({false})[0]);
   net.sweep();  // collapses the inverter chain pairwise
   EXPECT_LE(net.num_logic_nodes(), 1);
+}
+
+/// The historical recursive topological order: depth-first post-order from
+/// each live node in id order, fanins in order.
+std::vector<NodeId> recursive_topo_order(const Network& net) {
+  std::vector<NodeId> order;
+  std::vector<char> done(static_cast<std::size_t>(net.num_nodes()), 0);
+  std::function<void(NodeId)> visit = [&](NodeId id) {
+    if (done[static_cast<std::size_t>(id)]) return;
+    done[static_cast<std::size_t>(id)] = 1;
+    for (NodeId f : net.node(id).fanins) visit(f);
+    order.push_back(id);
+  };
+  for (NodeId id = 0; id < net.num_nodes(); ++id) {
+    if (!net.node(id).dead) visit(id);
+  }
+  return order;
+}
+
+TEST(NetworkEdge, TopoOrderIsTheRecursivePostOrder) {
+  // Redirecting readers of a node to a later one makes fanins point forward
+  // in id order, so the post-order is no longer the id order.
+  std::mt19937_64 rng(91);
+  int reordered = 0;
+  for (int trial = 0; trial < 20; ++trial) {
+    Network net("rand");
+    std::vector<NodeId> pool;
+    for (int i = 0; i < 4; ++i) {
+      pool.push_back(net.add_input("pi" + std::to_string(i)));
+    }
+    for (int i = 0; i < 24; ++i) {
+      const int arity = 1 + static_cast<int>(rng() % 3);
+      std::vector<NodeId> fanins;
+      for (int j = 0; j < arity; ++j) {
+        fanins.push_back(pool[rng() % pool.size()]);
+      }
+      const auto table = TruthTable::from_lambda(
+          arity, [&rng](std::uint64_t) { return (rng() & 1) != 0; });
+      pool.push_back(net.add_logic_tt("n" + std::to_string(i), fanins, table));
+    }
+    for (int o = 0; o < 3; ++o) {
+      net.add_output("o" + std::to_string(o), pool[pool.size() - 1 - o]);
+    }
+    // Replace an early logic node by a later one outside its fanout cone.
+    const NodeId old_node = pool[4 + rng() % 8];
+    std::vector<char> in_cone(static_cast<std::size_t>(net.num_nodes()), 0);
+    in_cone[static_cast<std::size_t>(old_node)] = 1;
+    for (NodeId id = old_node + 1; id < net.num_nodes(); ++id) {
+      for (NodeId f : net.node(id).fanins) {
+        if (in_cone[static_cast<std::size_t>(f)]) {
+          in_cone[static_cast<std::size_t>(id)] = 1;
+        }
+      }
+    }
+    for (NodeId id = net.num_nodes() - 1; id > old_node; --id) {
+      if (!in_cone[static_cast<std::size_t>(id)]) {
+        net.replace_everywhere(old_node, id);
+        break;
+      }
+    }
+    const std::vector<NodeId> order = net.topo_order();
+    EXPECT_EQ(order, recursive_topo_order(net)) << "trial " << trial;
+    if (!std::is_sorted(order.begin(), order.end())) ++reordered;
+  }
+  EXPECT_GT(reordered, 0);
 }
 
 }  // namespace

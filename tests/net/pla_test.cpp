@@ -66,6 +66,23 @@ TEST(PlaReader, RejectsBadInput) {
                std::runtime_error);
   EXPECT_THROW(read_pla_string(".i 2\n.o 1\n.kiss\n11 1\n.e\n"),
                std::runtime_error);
+  // Duplicate names, among the inputs or between an input and an output.
+  EXPECT_THROW(read_pla_string(".i 2\n.o 1\n.ilb a a\n11 1\n.e\n"),
+               std::runtime_error);
+  EXPECT_THROW(read_pla_string(".i 2\n.o 1\n.ob x1\n11 1\n.e\n"),
+               std::runtime_error);
+}
+
+TEST(PlaReader, RejectsUnparsableAndOversizedCounts) {
+  // An overflowing literal, a non-number, and counts too large to build.
+  EXPECT_THROW(read_pla_string(".i 9999999999994\n.o 1\n.e\n"),
+               std::runtime_error);
+  EXPECT_THROW(read_pla_string(".i 2\n.o many\n11 1\n.e\n"),
+               std::runtime_error);
+  EXPECT_THROW(read_pla_string(".i 30000000\n.o 1\n.e\n"),
+               std::runtime_error);
+  EXPECT_THROW(read_pla_string(".i 2\n.o 30000000\n.e\n"),
+               std::runtime_error);
 }
 
 TEST(PlaRoundTrip, WriteThenReadPreservesFunctions) {
